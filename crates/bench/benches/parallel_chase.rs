@@ -5,13 +5,13 @@
 //! `workers = 1` is the sequential runner (the exact pre-existing code path);
 //! `workers > 1` feeds shard-partitioned trigger discovery over a read-only
 //! snapshot to the persistent worker pool (`chase_core::pool`) with the
-//! deterministic `(DepId, body FactIds)` merge — and, for the standard chase,
-//! conflict-aware activity-check batching — so every configuration computes the
-//! same model (up to null renaming vs. sequential for the oblivious variants,
-//! bitwise-identical for the standard chase — proven by
-//! `tests/property_tests.rs`). Measured numbers are recorded in
+//! deterministic `(DepId, body FactIds)` merge — for the standard chase, only
+//! its discovery drains, around the sequential apply loop — so every
+//! configuration computes the same model (up to null renaming vs. sequential
+//! for the oblivious variants, bitwise-identical for the standard chase —
+//! proven by `tests/property_tests.rs`). Measured numbers are recorded in
 //! `BENCH_parallel_chase.json` at the repository root, together with the host's
-//! CPU budget: on a single-CPU container the parallel configurations measure
+//! CPU budget: on a host with fewer CPUs than workers the parallel rows measure
 //! determinism overhead, not speedup.
 //!
 //! With `CHASE_PARALLEL_GATE=1` the binary runs as a pass/fail **gate** instead
@@ -93,11 +93,10 @@ fn bench_ontology(c: &mut Criterion) {
     group.finish();
 }
 
-/// The standard chase on the ontology workload: many distinct predicates, so
-/// `next_active_batch` finds real conflict-free prefixes and the new parallel
-/// activity-check path engages (on the closure case the single self-recursive
-/// rule conflicts with itself and batches degenerate to singletons — the drains
-/// still parallelise, but this group is where the batching itself is measured).
+/// The standard chase on the ontology workload: one trigger is applied at a
+/// time and only the delta drains run sharded on the pool, so this group
+/// measures what parallel discovery buys (or costs) around the sequential
+/// apply loop.
 fn bench_standard(c: &mut Criterion) {
     let mut group = c.benchmark_group("parallel_chase/standard_ontology");
     group.sample_size(10);

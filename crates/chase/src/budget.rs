@@ -1,9 +1,8 @@
 //! Resource budgets for chase runs.
 //!
 //! A [`ChaseBudget`] bounds a chase run along every axis that can diverge — steps,
-//! rounds (core chase), fresh labeled nulls, instance size and wall-clock time — and
-//! replaces the per-variant ad-hoc caps (`with_max_steps` / `with_max_rounds`) of the
-//! legacy runners. When a run stops because of a budget, the resulting
+//! rounds (core chase), fresh labeled nulls, instance size and wall-clock time.
+//! When a run stops because of a budget, the resulting
 //! [`ChaseOutcome::BudgetExhausted`](crate::ChaseOutcome::BudgetExhausted) names the
 //! tripped [`BudgetLimit`], so callers can distinguish "diverged past the step cap"
 //! from "ran out of time" or "instance grew too large".
@@ -75,8 +74,7 @@ pub struct ChaseBudget {
 }
 
 impl Default for ChaseBudget {
-    /// The defaults of the legacy runners: 100 000 steps, 1 000 rounds, everything
-    /// else unlimited.
+    /// 100 000 steps, 1 000 rounds, everything else unlimited.
     fn default() -> Self {
         ChaseBudget {
             max_steps: Some(100_000),

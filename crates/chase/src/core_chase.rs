@@ -16,7 +16,7 @@
 
 use crate::budget::{BudgetClock, BudgetLimit, ChaseBudget};
 use crate::core_of::core_of_with_workers;
-use crate::observer::{ChaseObserver, NoopObserver};
+use crate::observer::ChaseObserver;
 use crate::result::{ChaseOutcome, ChaseStats, EgdViolation};
 use crate::step::applicable_standard_triggers;
 use chase_core::satisfaction::satisfies_all;
@@ -159,44 +159,6 @@ pub(crate) fn run_core(
             };
         }
         current = cored;
-    }
-}
-
-/// Legacy runner for the core chase.
-///
-/// Superseded by [`Chase::core`](crate::Chase::core); this shim delegates to the same
-/// implementation.
-#[derive(Clone)]
-pub struct CoreChase<'a> {
-    sigma: &'a DependencySet,
-    max_rounds: usize,
-}
-
-impl<'a> CoreChase<'a> {
-    /// Creates a core chase runner with a budget of 1 000 rounds.
-    #[deprecated(note = "use Chase::core(sigma) with a ChaseBudget instead")]
-    pub fn new(sigma: &'a DependencySet) -> Self {
-        CoreChase {
-            sigma,
-            max_rounds: 1_000,
-        }
-    }
-
-    /// Sets the round budget.
-    pub fn with_max_rounds(mut self, max_rounds: usize) -> Self {
-        self.max_rounds = max_rounds;
-        self
-    }
-
-    /// Runs the core chase on `database`.
-    pub fn run(&self, database: &Instance) -> ChaseOutcome {
-        run_core(
-            self.sigma,
-            &ChaseBudget::unlimited().with_max_rounds(self.max_rounds),
-            database,
-            &mut NoopObserver,
-            1,
-        )
     }
 }
 

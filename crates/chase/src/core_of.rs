@@ -271,7 +271,7 @@ pub fn core_of(instance: &Instance) -> Instance {
 }
 
 /// [`core_of`] with the endomorphism search over per-null fold candidates
-/// parallelised across up to `workers` pool threads (see [`find_first_fold`]
+/// parallelised across up to `workers` pool threads (see `find_first_fold`
 /// for why the result is identical at every worker count; `workers == 0` is
 /// normalized to 1).
 pub fn core_of_with_workers(instance: &Instance, workers: usize) -> Instance {

@@ -4,7 +4,7 @@
 //! [`Chase::materialize`](crate::Chase::materialize) runs a (semi-)oblivious
 //! session sequentially with an internal observer that opts into the
 //! derivation events ([`ChaseObserver::fact_derived`] /
-//! [`ChaseObserver::facts_rewritten`](crate::ChaseObserver::facts_rewritten)),
+//! [`ChaseObserver::facts_rewritten`]),
 //! and packages the outcome together with the full derivation log as a
 //! [`MaterializedRun`]. The log is **replayable**: every event carries enough
 //! information — fired key, body image, head ids, substitution deltas — for a
@@ -58,7 +58,7 @@ pub enum MaterializeEvent {
         heads: Vec<FactId>,
     },
     /// An EGD substitution step rewrote the instance
-    /// ([`ChaseObserver::facts_rewritten`](crate::ChaseObserver::facts_rewritten)):
+    /// ([`ChaseObserver::facts_rewritten`]):
     /// `γ` plus the `(old, new)` id pairs mapping every rewritten fact forward.
     Rewritten {
         /// The applied substitution.

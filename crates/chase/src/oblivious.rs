@@ -13,13 +13,12 @@
 //! (contrast with the standard chase, cf. Example 6 of the paper).
 //!
 //! The front door is [`Chase::oblivious`](crate::Chase::oblivious) /
-//! [`Chase::semi_oblivious`](crate::Chase::semi_oblivious); the [`ObliviousChase`]
-//! runner remains as a deprecated shim.
+//! [`Chase::semi_oblivious`](crate::Chase::semi_oblivious).
 
 use crate::budget::{BudgetClock, ChaseBudget};
-use crate::observer::{record_step_effect, ChaseObserver, FnObserver, NoopObserver};
+use crate::observer::{record_step_effect, ChaseObserver};
 use crate::result::{ChaseOutcome, ChaseStats};
-use crate::step::{StepEffect, Trigger};
+use crate::step::StepEffect;
 use chase_core::substitution::NullSubstitution;
 use chase_core::{
     DepId, Dependency, DependencySet, DiscoveryStats, GroundTerm, Instance, ShardStats, Variable,
@@ -200,66 +199,6 @@ pub(crate) fn run_oblivious(
     }
 }
 
-/// Legacy runner for the oblivious / semi-oblivious chase.
-///
-/// Superseded by [`Chase::oblivious`](crate::Chase::oblivious); this shim delegates
-/// to the same implementation.
-#[derive(Clone)]
-pub struct ObliviousChase<'a> {
-    sigma: &'a DependencySet,
-    variant: ObliviousVariant,
-    max_steps: usize,
-}
-
-impl<'a> ObliviousChase<'a> {
-    /// Creates a runner for the given variant with a budget of 100 000 steps.
-    #[deprecated(note = "use Chase::oblivious(sigma, variant) with a ChaseBudget instead")]
-    pub fn new(sigma: &'a DependencySet, variant: ObliviousVariant) -> Self {
-        ObliviousChase {
-            sigma,
-            variant,
-            max_steps: 100_000,
-        }
-    }
-
-    /// Sets the step budget.
-    pub fn with_max_steps(mut self, max_steps: usize) -> Self {
-        self.max_steps = max_steps;
-        self
-    }
-
-    /// Runs the chase on `database`.
-    pub fn run(&self, database: &Instance) -> ChaseOutcome {
-        run_oblivious(
-            self.sigma,
-            self.variant,
-            &ChaseBudget::unlimited().with_max_steps(self.max_steps),
-            database,
-            &mut NoopObserver,
-            1,
-        )
-    }
-
-    /// Runs the chase, invoking `observer` after every applied step.
-    #[deprecated(
-        note = "use Chase::oblivious(sigma, variant).run_observed(db, &mut observer) with a ChaseObserver"
-    )]
-    pub fn run_with_trace(
-        &self,
-        database: &Instance,
-        observer: impl FnMut(&Trigger, &StepEffect),
-    ) -> ChaseOutcome {
-        run_oblivious(
-            self.sigma,
-            self.variant,
-            &ChaseBudget::unlimited().with_max_steps(self.max_steps),
-            database,
-            &mut FnObserver(observer),
-            1,
-        )
-    }
-}
-
 /// Rewrites every recorded fired key under an EGD substitution `γ` — the
 /// "modulo `γ_j · · · γ_{i-1}`" of the paper's trigger-equivalence — keeping the
 /// per-dependency key list and its dedup lookup in lockstep.
@@ -404,18 +343,5 @@ mod tests {
             Chase::oblivious(&p.dependencies, ObliviousVariant::Oblivious).run(&p.database);
         assert!(std_out.is_terminating() && obl_out.is_terminating());
         assert!(obl_out.stats().steps >= std_out.stats().steps);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn legacy_shim_agrees_with_the_session_api() {
-        let p = parse_program("r: E(?x, ?y) -> exists ?z: E(?x, ?z). E(a, b).").unwrap();
-        let legacy = ObliviousChase::new(&p.dependencies, ObliviousVariant::SemiOblivious)
-            .with_max_steps(100)
-            .run(&p.database);
-        let session = Chase::semi_oblivious(&p.dependencies)
-            .with_budget(ChaseBudget::unlimited().with_max_steps(100))
-            .run(&p.database);
-        assert_eq!(legacy, session);
     }
 }

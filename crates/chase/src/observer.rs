@@ -2,8 +2,8 @@
 //!
 //! A [`ChaseObserver`] receives structured events while a chase executes:
 //! step-applied, nulls-created, EGD-collapse and (for the core chase) round-completed
-//! events. It subsumes the legacy `run_with_trace` closures and gives benchmarks,
-//! loggers and future metrics a single hook into every variant.
+//! events. It gives benchmarks, loggers and metrics a single hook into every
+//! variant.
 //!
 //! Event streams per variant:
 //!
@@ -211,8 +211,7 @@ pub struct NoopObserver;
 
 impl ChaseObserver for NoopObserver {}
 
-/// An observer that records every step (trigger and effect) in order — the
-/// replacement for the legacy `run_with_trace` entry points.
+/// An observer that records every step (trigger and effect) in order.
 #[derive(Clone, Debug, Default)]
 pub struct TraceObserver {
     /// The recorded steps, in application order.
@@ -256,22 +255,6 @@ impl ChaseObserver for TraceObserver {
 
     fn round_nulls(&mut self, nulls: usize) {
         self.round_null_counts.push(nulls);
-    }
-}
-
-/// Adapts a `FnMut(&Trigger, &StepEffect)` closure into a [`ChaseObserver`] (used by
-/// the deprecated `run_with_trace` shims).
-///
-/// **This adapter forwards only [`ChaseObserver::step_applied`]** — every
-/// other event (`nulls_created`, `egd_collapsed`, the round pair, and all
-/// phase events) is silently dropped, exactly matching what the legacy
-/// `run_with_trace` closures could see. For a closure that receives the full
-/// event stream, use [`EventObserver`].
-pub struct FnObserver<F>(pub F);
-
-impl<F: FnMut(&Trigger, &StepEffect)> ChaseObserver for FnObserver<F> {
-    fn step_applied(&mut self, trigger: &Trigger, effect: &StepEffect) {
-        (self.0)(trigger, effect)
     }
 }
 
@@ -331,9 +314,8 @@ pub enum ChaseEvent {
 
 /// Adapts a `FnMut(ChaseEvent)` closure into a [`ChaseObserver`] that receives
 /// **every** event — including the phase-boundary events, which it opts into
-/// (`observes_phases` is `true`). The complement of [`FnObserver`]: where that
-/// adapter keeps the narrow legacy trace contract, this one is the cheap way
-/// to tap the full stream without writing an observer type.
+/// (`observes_phases` is `true`). It is the cheap way to tap the full stream
+/// without writing an observer type.
 pub struct EventObserver<F>(pub F);
 
 impl<F: FnMut(ChaseEvent)> ChaseObserver for EventObserver<F> {
@@ -494,8 +476,7 @@ mod tests {
             obs.round_nulls(1);
             obs.budget_checked(Some(BudgetLimit::Steps));
         }
-        // Every event arrives, in emission order, with its payload intact —
-        // unlike FnObserver, which would only have seen the one step.
+        // Every event arrives, in emission order, with its payload intact.
         assert_eq!(events.len(), 8);
         assert!(matches!(
             &events[0],
@@ -526,19 +507,5 @@ mod tests {
                 tripped: Some(BudgetLimit::Steps)
             }
         ));
-    }
-
-    #[test]
-    fn fn_observer_forwards_steps() {
-        let mut count = 0;
-        {
-            let mut obs = FnObserver(|_: &Trigger, _: &StepEffect| count += 1);
-            let trigger = Trigger {
-                dep: DepId(3),
-                assignment: Assignment::new(),
-            };
-            obs.step_applied(&trigger, &StepEffect::Failure);
-        }
-        assert_eq!(count, 1);
     }
 }

@@ -35,13 +35,10 @@
 //!   batching a whole round against a stale snapshot genuinely changes the result
 //!   (a trigger can fire on the ∃-null it would have found satisfied one step
 //!   later — not even isomorphic). The standard chase therefore keeps the
-//!   sequential *apply* order and parallelises the read-only phases around it:
-//!   each drain of the delta worklist runs sharded with an order-preserving
-//!   merge ([`chase_trigger::TriggerEngine::drain_deltas_parallel`]), and
-//!   conflict-aware scheduling ([`chase_trigger::ConflictSchedule`]) evaluates
-//!   the activity checks of a conflict-free prefix of the trigger order
-//!   concurrently against the frozen pre-batch instance
-//!   ([`chase_trigger::TriggerEngine::next_active_batch`]). Both are
+//!   sequential *apply* order and parallelises only the read-only discovery
+//!   around it: each drain of the delta worklist runs sharded with an
+//!   order-preserving merge
+//!   ([`chase_trigger::TriggerEngine::drain_deltas_parallel`]), which is
 //!   bitwise-identical to the sequential runner.
 //! * **EGD-bearing** dependency sets fall back to the sequential runners
 //!   entirely: an EGD substitution rewrites the pending state (`h ↦ γ∘h`) and the

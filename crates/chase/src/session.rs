@@ -133,15 +133,10 @@ impl<'a> Chase<'a> {
     /// * the **(semi-)oblivious variants** batch whole rounds — sharded
     ///   discovery, triggers sorted by `(DepId, body FactIds)` before a
     ///   sequential apply;
-    /// * the **standard chase** shards each discovery drain (order-preserving
-    ///   merge) *and* batches activity checks via conflict-aware scheduling
-    ///   ([`chase_trigger::ConflictSchedule`]): a conflict-free prefix of the
-    ///   sequential trigger order — pairwise disjoint head-writes vs.
-    ///   body/head-reads, writes that cannot seed an earlier-ranked queue —
-    ///   is checked in parallel against the pre-batch instance, then applied
-    ///   in the exact sequential order. Bitwise-identical to `workers(1)`
-    ///   (same steps, nulls, stats; phase-event granularity may coarsen to
-    ///   one discovery event per batch);
+    /// * the **standard chase** applies one trigger at a time in the exact
+    ///   sequential order and shards only each discovery drain
+    ///   (order-preserving merge); bitwise-identical to `workers(1)`, phase
+    ///   events included;
     /// * the **core chase** parallelises its dominant cost, the per-null
     ///   endomorphism fold search of each round's core computation, with
     ///   first-fold selection in ascending null order (bitwise-identical
@@ -152,7 +147,6 @@ impl<'a> Chase<'a> {
     /// * **EGD-bearing** dependency sets — substitutions rewrite pending
     ///   triggers and fired keys in sequence order, so the result would depend
     ///   on the interleaving (see [`crate::parallel`] for the full argument);
-    ///   in the conflict schedule an EGD conflicts with everything;
     /// * [`TriggerDiscovery::NaiveRescan`], the single-threaded reference
     ///   baseline.
     ///

@@ -7,15 +7,14 @@
 //! the paper exploits (a set may have both terminating and non-terminating sequences,
 //! cf. Example 1).
 //!
-//! The front door is [`Chase::standard`](crate::Chase::standard); the [`StandardChase`]
-//! runner remains as a deprecated shim.
+//! The front door is [`Chase::standard`](crate::Chase::standard).
 
 use crate::budget::{BudgetClock, ChaseBudget};
-use crate::observer::{record_step_effect, ChaseObserver, FnObserver, NoopObserver};
+use crate::observer::{record_step_effect, ChaseObserver};
 use crate::result::{ChaseOutcome, ChaseStats};
-use crate::step::{apply_step, first_applicable_trigger, StepEffect, Trigger};
+use crate::step::{apply_step, first_applicable_trigger, StepEffect};
 use chase_core::{DepId, DependencySet, DiscoveryStats, Instance, ShardStats};
-use chase_trigger::{ConflictSchedule, TriggerEngine};
+use chase_trigger::TriggerEngine;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -82,28 +81,20 @@ pub(crate) fn dependency_order(sigma: &DependencySet, order: StepOrder) -> Vec<D
 
 /// Runs the standard chase under `budget`, reporting events to `observer`.
 ///
-/// `workers > 1` parallelises two read-only phases on the persistent worker
-/// pool ([`chase_core::pool`]), keeping the run bitwise-identical to the
-/// sequential one:
-///
-/// * **trigger discovery** — each drain of the delta worklist is sharded with
-///   an order-preserving merge ([`TriggerEngine::drain_deltas_parallel`]);
-/// * **activity checks** — conflict-aware scheduling
-///   ([`chase_trigger::ConflictSchedule`]) pops a conflict-free prefix of the
-///   sequential trigger order per batch and evaluates the prefix's activity
-///   checks concurrently against the frozen pre-batch instance
-///   ([`TriggerEngine::next_active_batch`]); applications themselves stay in
-///   the exact sequential order — that order *is* the standard chase's
-///   semantics (fresh-null numbering, later activity) and batching it is
-///   provably not equivalence-preserving.
+/// Triggers are applied one at a time in the selection order — that order *is*
+/// the standard chase's semantics (fresh-null numbering, later activity), so
+/// the only work `workers > 1` parallelises is read-only trigger discovery:
+/// each drain of the delta worklist is sharded on the persistent worker pool
+/// ([`chase_core::pool`]) with an order-preserving merge
+/// ([`TriggerEngine::drain_deltas_parallel`]), keeping the run bitwise
+/// identical to the sequential one.
 ///
 /// `workers == 0` is normalized to 1. Two documented fallbacks ignore
 /// `workers`:
 ///
 /// * **EGD-bearing `sigma`** — substitutions rewrite the pending state between
 ///   steps and serialize every drain anyway (delta batches are the rewritten
-///   facts of a single substitution), and an EGD conflicts with everything in
-///   the schedule; the run stays sequential;
+///   facts of a single substitution); the run stays sequential;
 /// * **[`TriggerDiscovery::NaiveRescan`]** — the reference baseline is defined as
 ///   the single-threaded full re-scan and stays that way.
 pub(crate) fn run_standard(
@@ -141,9 +132,6 @@ fn run_incremental(
     workers: usize,
 ) -> ChaseOutcome {
     let order = dependency_order(sigma, order);
-    if workers > 1 {
-        return run_incremental_batched(sigma, &order, budget, database, observer, workers);
-    }
     let clock = BudgetClock::start(budget);
     let mut engine = TriggerEngine::with_database(sigma, database);
     let mut stats = ChaseStats::default();
@@ -201,110 +189,6 @@ fn run_incremental(
         if let Some(violation) = record_step_effect(sigma, &trigger, &effect, &mut stats, observer)
         {
             return ChaseOutcome::Failed { violation, stats };
-        }
-    }
-}
-
-/// The conflict-aware parallel run (`workers > 1`, EGD-free sets only).
-///
-/// Per batch, [`TriggerEngine::next_active_batch`] pops a conflict-free prefix
-/// of the sequential trigger order and evaluates its activity checks in
-/// parallel; the applications then replay in the exact sequential interleaving
-/// — apply one trigger, drain its deltas (itself sharded on the pool), apply
-/// the next — so queue evolution, fresh-null numbering, every `ChaseStats`
-/// counter and the budget-check cadence (one check before each step's
-/// search-or-apply plus one final) are bitwise identical to the `workers == 1`
-/// loop. The only observable difference is phase-event *granularity* with an
-/// [`observes_phases`](ChaseObserver::observes_phases) observer: one discovery
-/// event per batch instead of per step (totals still agree).
-fn run_incremental_batched(
-    sigma: &DependencySet,
-    order: &[DepId],
-    budget: &ChaseBudget,
-    database: &Instance,
-    observer: &mut dyn ChaseObserver,
-    workers: usize,
-) -> ChaseOutcome {
-    let schedule = ConflictSchedule::new(sigma, order);
-    let clock = BudgetClock::start(budget);
-    let mut engine = TriggerEngine::with_database(sigma, database);
-    let mut stats = ChaseStats::default();
-    let phases = observer.observes_phases();
-    loop {
-        let tripped = clock.check_step(&stats, engine.instance().len());
-        if phases {
-            observer.budget_checked(tripped);
-        }
-        if let Some(limit) = tripped {
-            return ChaseOutcome::BudgetExhausted {
-                limit,
-                instance: engine.into_instance(),
-                stats,
-            };
-        }
-        // One discovery event per batch: the engine-stat deltas cover every
-        // seed drained and candidate discovered while assembling this batch.
-        let batch = if phases {
-            let scanned_before = engine.stats().deltas_processed;
-            let found_before = engine.stats().triggers_discovered;
-            let start = Instant::now();
-            let batch = engine.next_active_batch(order, &schedule, workers);
-            let elapsed = start.elapsed();
-            observer.discovery_completed(&DiscoveryStats {
-                shards: vec![ShardStats {
-                    worker: 0,
-                    facts_scanned: engine.stats().deltas_processed - scanned_before,
-                    triggers_found: engine.stats().triggers_discovered - found_before,
-                    elapsed,
-                }],
-                elapsed,
-            });
-            batch
-        } else {
-            engine.next_active_batch(order, &schedule, workers)
-        };
-        if batch.is_empty() {
-            return ChaseOutcome::Terminated {
-                instance: engine.into_instance(),
-                stats,
-            };
-        }
-        let mut first = true;
-        for trigger in batch {
-            // The check before the batch's first apply already ran above (it
-            // precedes the search, as in the sequential loop); every later
-            // batch member gets its own check between applies.
-            if !first {
-                let tripped = clock.check_step(&stats, engine.instance().len());
-                if phases {
-                    observer.budget_checked(tripped);
-                }
-                if let Some(limit) = tripped {
-                    // Remaining batch members are discarded un-applied — the
-                    // sequential run would never have popped them.
-                    return ChaseOutcome::BudgetExhausted {
-                        limit,
-                        instance: engine.into_instance(),
-                        stats,
-                    };
-                }
-            }
-            first = false;
-            let effect = engine.apply_trigger(trigger.dep, &trigger.assignment);
-            if effect == StepEffect::NotApplicable {
-                // Activity was verified against the pre-batch instance and is
-                // stable under the batch's earlier writes; defensive skip.
-                continue;
-            }
-            if let Some(violation) =
-                record_step_effect(sigma, &trigger, &effect, &mut stats, observer)
-            {
-                return ChaseOutcome::Failed { violation, stats };
-            }
-            // Drain immediately, exactly where the sequential loop's next
-            // search would: the queues must evolve step-by-step, not
-            // batch-by-batch, for the popped order to stay sequential.
-            engine.drain_deltas_parallel(workers);
         }
     }
 }
@@ -370,102 +254,6 @@ fn run_naive(
             return ChaseOutcome::Failed { violation, stats };
         }
         current = next.expect("non-failing steps produce a successor instance");
-    }
-}
-
-/// Legacy runner for the standard chase.
-///
-/// Superseded by [`Chase::standard`](crate::Chase::standard), which adds the full
-/// [`ChaseBudget`] and [`ChaseObserver`] machinery; this shim delegates to the same
-/// implementation.
-#[derive(Clone)]
-pub struct StandardChase<'a> {
-    sigma: &'a DependencySet,
-    order: StepOrder,
-    max_steps: usize,
-    discovery: TriggerDiscovery,
-}
-
-impl<'a> StandardChase<'a> {
-    /// Creates a standard chase runner with the default policy
-    /// ([`StepOrder::EgdsFirst`]), incremental trigger discovery and a budget of
-    /// 100 000 steps.
-    #[deprecated(note = "use Chase::standard(sigma) with a ChaseBudget instead")]
-    pub fn new(sigma: &'a DependencySet) -> Self {
-        StandardChase {
-            sigma,
-            order: StepOrder::EgdsFirst,
-            max_steps: 100_000,
-            discovery: TriggerDiscovery::Incremental,
-        }
-    }
-
-    /// Sets the trigger-selection policy.
-    pub fn with_order(mut self, order: StepOrder) -> Self {
-        self.order = order;
-        self
-    }
-
-    /// Enables or disables EGD priority (a shorthand for switching between
-    /// [`StepOrder::EgdsFirst`] and [`StepOrder::Textual`]).
-    pub fn with_egd_priority(mut self, yes: bool) -> Self {
-        self.order = if yes {
-            StepOrder::EgdsFirst
-        } else {
-            StepOrder::Textual
-        };
-        self
-    }
-
-    /// Sets the step budget.
-    pub fn with_max_steps(mut self, max_steps: usize) -> Self {
-        self.max_steps = max_steps;
-        self
-    }
-
-    /// Sets the trigger-discovery strategy.
-    pub fn with_discovery(mut self, discovery: TriggerDiscovery) -> Self {
-        self.discovery = discovery;
-        self
-    }
-
-    /// The dependency order induced by the policy.
-    pub fn dependency_order(&self) -> Vec<DepId> {
-        dependency_order(self.sigma, self.order)
-    }
-
-    /// Runs the chase on `database`, producing an outcome.
-    pub fn run(&self, database: &Instance) -> ChaseOutcome {
-        run_standard(
-            self.sigma,
-            self.order,
-            self.discovery,
-            &ChaseBudget::unlimited().with_max_steps(self.max_steps),
-            database,
-            &mut NoopObserver,
-            1,
-        )
-    }
-
-    /// Runs the chase, invoking `observer` after every applied step with the trigger
-    /// and the effect.
-    #[deprecated(
-        note = "use Chase::standard(sigma).run_observed(db, &mut observer) with a ChaseObserver"
-    )]
-    pub fn run_with_trace(
-        &self,
-        database: &Instance,
-        observer: impl FnMut(&Trigger, &StepEffect),
-    ) -> ChaseOutcome {
-        run_standard(
-            self.sigma,
-            self.order,
-            self.discovery,
-            &ChaseBudget::unlimited().with_max_steps(self.max_steps),
-            database,
-            &mut FnObserver(observer),
-            1,
-        )
     }
 }
 
@@ -699,34 +487,5 @@ mod tests {
         assert!(outcome.is_terminating());
         // Closure of a 4-chain has 3 + 2 + 1 = 6 edges.
         assert_eq!(outcome.instance().unwrap().len(), 6);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn legacy_shims_agree_with_the_session_api() {
-        let p = parse_program(
-            r#"
-            r1: N(?x) -> exists ?y: E(?x, ?y).
-            r2: E(?x, ?y) -> N(?y).
-            r3: E(?x, ?y) -> ?x = ?y.
-            N(a).
-            "#,
-        )
-        .unwrap();
-        let legacy = StandardChase::new(&p.dependencies)
-            .with_order(StepOrder::EgdsFirst)
-            .with_max_steps(1_000)
-            .run(&p.database);
-        let session = Chase::standard(&p.dependencies)
-            .with_order(StepOrder::EgdsFirst)
-            .with_budget(ChaseBudget::unlimited().with_max_steps(1_000))
-            .run(&p.database);
-        assert_eq!(legacy, session);
-
-        let mut trace = Vec::new();
-        let traced = StandardChase::new(&p.dependencies)
-            .run_with_trace(&p.database, |t, e| trace.push((t.dep, e.clone())));
-        assert!(traced.is_terminating());
-        assert_eq!(trace.len(), traced.stats().steps);
     }
 }

@@ -13,7 +13,7 @@
 //! ## Format (version 1)
 //!
 //! All integers are little-endian. Strings are UTF-8, length-prefixed with a
-//! `u32`. Symbols ([`Constant`](crate::term::Constant) and predicate names) are
+//! `u32`. Symbols ([`Constant`] and predicate names) are
 //! serialized **as strings**: the process-global symbol interner's raw ids are
 //! not stable across processes.
 //!

@@ -10,10 +10,10 @@
 //!
 //! # Architecture
 //!
-//! - One global [`WorkerPool`] (see [`global`]) shared by trigger discovery
-//!   (`chase_trigger::parallel`), the conflict-aware standard chase
-//!   (`chase_trigger::TriggerEngine::next_active_batch`), the round-parallel
-//!   oblivious runners (`chase_engine::parallel`), and `core_of`'s fold search.
+//! - One global [`WorkerPool`] (see `global`) shared by trigger discovery
+//!   (`chase_trigger::parallel`, which also backs the standard chase's
+//!   sharded drains), the round-parallel oblivious runners
+//!   (`chase_engine::parallel`), and `core_of`'s fold search.
 //!   Sharing one pool keeps the thread count bounded by the largest `workers(n)`
 //!   ever requested, not by the number of subsystems.
 //! - **Channel protocol:** submitters push type-erased jobs into a single
@@ -21,8 +21,9 @@
 //!   MPMC channel in which a *blocked consumer holds no lock*, which is what
 //!   lets the caller steal; see below) and wake the workers; workers loop
 //!   `wait → pop → run`. Results travel back over a per-call [`mpsc`] channel
-//!   created by each [`run_jobs`] invocation, so concurrent submitters never
-//!   see each other's results even though they share the injector.
+//!   created by each [`run_jobs`](WorkerPool::run_jobs) invocation, so
+//!   concurrent submitters never see each other's results even though they
+//!   share the injector.
 //! - **Caller participation:** the submitting thread does not block idle while
 //!   its jobs run — it steals queued jobs from the shared injector and executes
 //!   them inline until all of its own results have arrived. A pool sized for
@@ -32,7 +33,8 @@
 //!
 //! # Determinism
 //!
-//! The pool is deliberately order-oblivious: [`run_jobs`] returns results in
+//! The pool is deliberately order-oblivious:
+//! [`run_jobs`](WorkerPool::run_jobs) returns results in
 //! **submission order** regardless of which thread ran which job or in what
 //! order they finished. Every deterministic-merge argument made by the callers
 //! (canonical trigger merge, shard-order concatenation, first-success-in-wave
@@ -40,10 +42,11 @@
 //!
 //! # Lifetime safety
 //!
-//! Jobs borrow from the caller's stack (`&DependencySet`, [`Snapshot`]s, …) but
-//! travel through a `'static` channel, so [`run_jobs`] erases their lifetime
-//! internally. This is sound because `run_jobs` is a completion barrier: it does
-//! not return until every submitted job has finished running (it collects
+//! Jobs borrow from the caller's stack (`&DependencySet`,
+//! [`Snapshot`](crate::Snapshot)s, …) but travel through a `'static` channel,
+//! so [`run_jobs`](WorkerPool::run_jobs) erases their lifetime internally.
+//! This is sound because `run_jobs` is a completion barrier: it does not
+//! return until every submitted job has finished running (it collects
 //! exactly one result per job, and panicking jobs still send a result), so the
 //! borrows outlive every use. The global pool's injector is never dropped,
 //! meaning a submitted job can never be silently discarded while borrowed data

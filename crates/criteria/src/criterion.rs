@@ -5,7 +5,6 @@
 //! explaining *why* the set was accepted or rejected — the special-edge cycle for weak
 //! acyclicity, the stratum assignment for (semi-)stratification, the saturation
 //! certificate for MFA, the adornment trace for `Adn∃` — instead of a bare boolean.
-//! The legacy `is_*` functions remain as thin deprecated shims over the verdicts.
 
 use chase_core::{DepId, DependencySet, Position};
 use std::fmt;
@@ -374,28 +373,6 @@ pub struct NamedCriterion {
 }
 
 impl NamedCriterion {
-    /// Wraps a boolean closure as a criterion with a [`Witness::Trivial`] witness.
-    #[deprecated(
-        note = "wrap a Verdict-producing check with NamedCriterion::with_verdict, or box a TerminationCriterion with NamedCriterion::from_criterion"
-    )]
-    pub fn new(
-        name: &'static str,
-        guarantee: Guarantee,
-        check: impl Fn(&DependencySet) -> bool + Send + Sync + 'static,
-    ) -> Self {
-        NamedCriterion {
-            name,
-            guarantee,
-            cost: u32::MAX,
-            check: Box::new(move |sigma| Verdict {
-                criterion: name,
-                guarantee,
-                accepted: check(sigma),
-                witness: Witness::Trivial,
-            }),
-        }
-    }
-
     /// Wraps a verdict-producing closure as a criterion.
     pub fn with_verdict(
         name: &'static str,
@@ -531,14 +508,5 @@ mod tests {
         assert!(rendered.contains("WA"));
         assert!(rendered.contains("rejects"));
         assert!(rendered.contains("rule cap"));
-    }
-
-    #[test]
-    fn legacy_boolean_registry_entries_still_work() {
-        #[allow(deprecated)]
-        let c = NamedCriterion::new("always", Guarantee::SomeSequence, |_| true);
-        let sigma = parse_dependencies("r: A(?x) -> B(?x).").unwrap();
-        assert!(c.accepts(&sigma));
-        assert!(c.verdict(&sigma).witness.is_trivial());
     }
 }

@@ -72,17 +72,6 @@ pub use stratification::{CStratification, Stratification};
 pub use super_weak::SuperWeakAcyclicity;
 pub use weak_acyclicity::WeakAcyclicity;
 
-#[allow(deprecated)]
-pub use mfa::{is_mfa, is_mfa_with};
-#[allow(deprecated)]
-pub use safety::is_safe;
-#[allow(deprecated)]
-pub use stratification::{is_c_stratified, is_stratified};
-#[allow(deprecated)]
-pub use super_weak::is_super_weakly_acyclic;
-#[allow(deprecated)]
-pub use weak_acyclicity::is_weakly_acyclic;
-
 /// Convenience re-exports.
 pub mod prelude {
     pub use crate::criterion::{
@@ -94,15 +83,4 @@ pub mod prelude {
     pub use crate::stratification::{CStratification, Stratification};
     pub use crate::super_weak::SuperWeakAcyclicity;
     pub use crate::weak_acyclicity::WeakAcyclicity;
-
-    #[allow(deprecated)]
-    pub use crate::mfa::is_mfa;
-    #[allow(deprecated)]
-    pub use crate::safety::is_safe;
-    #[allow(deprecated)]
-    pub use crate::stratification::{is_c_stratified, is_stratified};
-    #[allow(deprecated)]
-    pub use crate::super_weak::is_super_weakly_acyclic;
-    #[allow(deprecated)]
-    pub use crate::weak_acyclicity::is_weakly_acyclic;
 }

@@ -365,27 +365,10 @@ impl TerminationCriterion for ModelFaithfulAcyclicity {
     }
 }
 
-/// Returns `true` iff `sigma` is model-faithfully acyclic (EGDs handled through the
-/// substitution-free simulation).
-#[deprecated(
-    note = "use ModelFaithfulAcyclicity (TerminationCriterion) or the TerminationAnalyzer"
-)]
-pub fn is_mfa(sigma: &DependencySet) -> bool {
-    ModelFaithfulAcyclicity::default().accepts(sigma)
-}
-
-/// [`is_mfa`] with an explicit budget configuration.
-#[deprecated(note = "use ModelFaithfulAcyclicity { config } (TerminationCriterion)")]
-pub fn is_mfa_with(sigma: &DependencySet, config: &MfaConfig) -> bool {
-    ModelFaithfulAcyclicity { config: *config }.accepts(sigma)
-}
-
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)] // the legacy `is_*` shims stay pinned by these tests
-
     use super::*;
-    use crate::super_weak::is_super_weakly_acyclic;
+    use crate::super_weak::SuperWeakAcyclicity;
     use chase_core::parser::parse_dependencies;
 
     #[test]
@@ -466,13 +449,13 @@ mod tests {
             "#,
         )
         .unwrap();
-        assert!(is_mfa(&sigma));
+        assert!(ModelFaithfulAcyclicity::default().accepts(&sigma));
     }
 
     #[test]
     fn self_feeding_rule_is_not_mfa() {
         let sigma = parse_dependencies("r: E(?x, ?y) -> exists ?z: E(?y, ?z).").unwrap();
-        assert!(!is_mfa(&sigma));
+        assert!(!ModelFaithfulAcyclicity::default().accepts(&sigma));
     }
 
     #[test]
@@ -484,7 +467,7 @@ mod tests {
             "#,
         )
         .unwrap();
-        assert!(!is_mfa(&sigma));
+        assert!(!ModelFaithfulAcyclicity::default().accepts(&sigma));
     }
 
     #[test]
@@ -502,8 +485,8 @@ mod tests {
         .unwrap();
         // B(*, f(*)) alone cannot match both B(x,y) and B(y,x) with x = *, y = f(*)
         // unless B(f(*), *) is also derived, which never happens; so MFA accepts.
-        assert!(is_mfa(&sigma));
-        let _ = is_super_weakly_acyclic(&sigma);
+        assert!(ModelFaithfulAcyclicity::default().accepts(&sigma));
+        let _ = SuperWeakAcyclicity.accepts(&sigma);
     }
 
     #[test]
@@ -520,7 +503,7 @@ mod tests {
             "#,
         )
         .unwrap();
-        assert!(!is_mfa(&sigma8));
+        assert!(!ModelFaithfulAcyclicity::default().accepts(&sigma8));
     }
 
     #[test]
@@ -532,7 +515,7 @@ mod tests {
             "#,
         )
         .unwrap();
-        assert!(is_mfa(&sigma));
+        assert!(ModelFaithfulAcyclicity::default().accepts(&sigma));
     }
 
     #[test]
@@ -549,8 +532,11 @@ mod tests {
         ];
         for src in inputs {
             let sigma = parse_dependencies(src).unwrap();
-            if is_super_weakly_acyclic(&sigma) {
-                assert!(is_mfa(&sigma), "SwA ⊆ MFA violated on {src}");
+            if SuperWeakAcyclicity.accepts(&sigma) {
+                assert!(
+                    ModelFaithfulAcyclicity::default().accepts(&sigma),
+                    "SwA ⊆ MFA violated on {src}"
+                );
             }
         }
     }
@@ -560,12 +546,12 @@ mod tests {
         let sigma = parse_dependencies("r: E(?x, ?y) -> exists ?z: E(?y, ?z).").unwrap();
         let verdict = mfa_verdict_tgds(&sigma, &MfaConfig::default());
         assert_eq!(verdict, MfaVerdict::CyclicTermDerived);
-        assert!(!is_mfa_with(
-            &sigma,
-            &MfaConfig {
+        let tight = ModelFaithfulAcyclicity {
+            config: MfaConfig {
                 max_facts: 1,
-                max_depth: 1
-            }
-        ));
+                max_depth: 1,
+            },
+        };
+        assert!(!tight.accepts(&sigma));
     }
 }

@@ -163,19 +163,11 @@ impl TerminationCriterion for SuperWeakAcyclicity {
     }
 }
 
-/// Returns `true` iff `sigma` is super-weakly acyclic. EGD-bearing sets are first
-/// rewritten with the substitution-free simulation, as in the literature.
-#[deprecated(note = "use SuperWeakAcyclicity (TerminationCriterion) or the TerminationAnalyzer")]
-pub fn is_super_weakly_acyclic(sigma: &DependencySet) -> bool {
-    SuperWeakAcyclicity.accepts(sigma)
-}
-
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)] // the legacy `is_*` shims stay pinned by these tests
-
     use super::*;
-    use crate::safety::is_safe;
+    use crate::safety::Safety;
+    use crate::weak_acyclicity::WeakAcyclicity;
     use chase_core::parser::parse_dependencies;
 
     #[test]
@@ -201,7 +193,7 @@ mod tests {
             "#,
         )
         .unwrap();
-        assert!(!is_super_weakly_acyclic(&sigma));
+        assert!(!SuperWeakAcyclicity.accepts(&sigma));
     }
 
     #[test]
@@ -216,10 +208,10 @@ mod tests {
             "#,
         )
         .unwrap();
-        assert!(is_super_weakly_acyclic(&sigma));
-        assert!(!crate::weak_acyclicity::is_weakly_acyclic(&sigma));
+        assert!(SuperWeakAcyclicity.accepts(&sigma));
+        assert!(!WeakAcyclicity.accepts(&sigma));
         // Safety already accepts here (E[1] is never affected); SwA agrees.
-        assert!(is_safe(&sigma));
+        assert!(Safety.accepts(&sigma));
     }
 
     #[test]
@@ -233,9 +225,9 @@ mod tests {
         ];
         for src in inputs {
             let sigma = parse_dependencies(src).unwrap();
-            if is_safe(&sigma) {
+            if Safety.accepts(&sigma) {
                 assert!(
-                    is_super_weakly_acyclic(&sigma),
+                    SuperWeakAcyclicity.accepts(&sigma),
                     "SC ⊆ SwA violated on {src}"
                 );
             }
@@ -245,7 +237,7 @@ mod tests {
     #[test]
     fn self_feeding_rule_is_rejected() {
         let sigma = parse_dependencies("r: E(?x, ?y) -> exists ?z: E(?y, ?z).").unwrap();
-        assert!(!is_super_weakly_acyclic(&sigma));
+        assert!(!SuperWeakAcyclicity.accepts(&sigma));
     }
 
     #[test]
@@ -254,7 +246,7 @@ mod tests {
         // The null lands in E[2]; to re-fire r it would have to reach a frontier
         // variable of r, but the only frontier variable is x whose single body
         // occurrence is E[1], never reached.
-        assert!(is_super_weakly_acyclic(&sigma));
+        assert!(SuperWeakAcyclicity.accepts(&sigma));
     }
 
     #[test]
@@ -271,7 +263,7 @@ mod tests {
             "#,
         )
         .unwrap();
-        assert!(!is_super_weakly_acyclic(&sigma));
+        assert!(!SuperWeakAcyclicity.accepts(&sigma));
     }
 
     #[test]
@@ -292,6 +284,6 @@ mod tests {
     #[test]
     fn egd_free_full_sets_are_trivially_accepted() {
         let sigma = parse_dependencies("t: E(?x, ?y), E(?y, ?z) -> E(?x, ?z).").unwrap();
-        assert!(is_super_weakly_acyclic(&sigma));
+        assert!(SuperWeakAcyclicity.accepts(&sigma));
     }
 }

@@ -276,18 +276,6 @@ impl chase_criteria::TerminationCriterion for SemiAcyclicity {
     }
 }
 
-/// Returns `true` iff `sigma` is semi-acyclic (`SAC`, Definition 4).
-#[deprecated(note = "use SemiAcyclicity (TerminationCriterion) or the TerminationAnalyzer")]
-pub fn is_semi_acyclic(sigma: &DependencySet) -> bool {
-    adorn(sigma).acyclic
-}
-
-/// [`is_semi_acyclic`] with an explicit configuration.
-#[deprecated(note = "use SemiAcyclicity { config } (TerminationCriterion)")]
-pub fn is_semi_acyclic_with(sigma: &DependencySet, config: &AdnConfig) -> bool {
-    adorn_with(sigma, config).acyclic
-}
-
 /// Runs the adornment algorithm `Adn∃` (Algorithm 1).
 pub fn adorn_with(sigma: &DependencySet, config: &AdnConfig) -> AdnResult {
     Adn::new(sigma, config).run()
@@ -1193,14 +1181,13 @@ fn ad_rule_to_dependency(rule: &AdRule, index: usize) -> Dependency {
 
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)] // the legacy `is_*` shims stay pinned by these tests
-
     use super::*;
     use chase_core::parser::parse_dependencies;
+    use chase_criteria::TerminationCriterion;
 
     #[test]
     fn verdict_carries_the_adornment_trace() {
-        use chase_criteria::{TerminationCriterion, Witness};
+        use chase_criteria::Witness;
         let verdict = SemiAcyclicity::default().verdict(&sigma10());
         assert!(!verdict.accepted);
         match verdict.witness {
@@ -1288,7 +1275,7 @@ mod tests {
             "#,
         )
         .unwrap();
-        assert!(is_semi_acyclic(&sigma));
+        assert!(SemiAcyclicity::default().accepts(&sigma));
     }
 
     #[test]
@@ -1301,19 +1288,19 @@ mod tests {
             "#,
         )
         .unwrap();
-        assert!(is_semi_acyclic(&sigma));
+        assert!(SemiAcyclicity::default().accepts(&sigma));
     }
 
     #[test]
     fn self_feeding_rule_is_not_semi_acyclic() {
         let sigma = parse_dependencies("r: E(?x, ?y) -> exists ?z: E(?y, ?z).").unwrap();
-        assert!(!is_semi_acyclic(&sigma));
+        assert!(!SemiAcyclicity::default().accepts(&sigma));
     }
 
     #[test]
     fn example6_rule_is_semi_acyclic() {
         let sigma = parse_dependencies("r: E(?x, ?y) -> exists ?z: E(?x, ?z).").unwrap();
-        assert!(is_semi_acyclic(&sigma));
+        assert!(SemiAcyclicity::default().accepts(&sigma));
     }
 
     #[test]

@@ -114,24 +114,6 @@ pub fn adn_combined(sigma: &DependencySet, check: impl Fn(&DependencySet) -> boo
     adn_combined_with(sigma, &AdnConfig::default(), check).0
 }
 
-/// Convenience: `Adn∃-WA` — weak acyclicity on the adorned set.
-#[deprecated(note = "use AdnCombined::weak_acyclicity() (TerminationCriterion)")]
-pub fn adn_weak_acyclicity(sigma: &DependencySet) -> bool {
-    AdnCombined::weak_acyclicity().accepts(sigma)
-}
-
-/// Convenience: `Adn∃-SC` — safety on the adorned set.
-#[deprecated(note = "use AdnCombined::safety() (TerminationCriterion)")]
-pub fn adn_safety(sigma: &DependencySet) -> bool {
-    AdnCombined::safety().accepts(sigma)
-}
-
-/// Convenience: `Adn∃-SwA` — super-weak acyclicity on the adorned set.
-#[deprecated(note = "use AdnCombined::super_weak_acyclicity() (TerminationCriterion)")]
-pub fn adn_super_weak_acyclicity(sigma: &DependencySet) -> bool {
-    AdnCombined::super_weak_acyclicity().accepts(sigma)
-}
-
 /// Wraps every baseline criterion `C` into its `Adn∃-C` counterpart, for use in the
 /// experiment harness. All combined criteria guarantee membership in `CT_std_∃`.
 pub fn combined_criteria() -> Vec<NamedCriterion> {
@@ -162,8 +144,6 @@ pub fn all_criteria() -> Vec<NamedCriterion> {
 
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)] // the legacy boolean shims stay pinned by these tests
-
     use super::*;
     use chase_core::parser::parse_dependencies;
 
@@ -263,17 +243,18 @@ mod tests {
     }
 
     #[test]
-    fn legacy_boolean_shims_agree_with_the_criteria() {
+    fn combined_registry_entries_agree_with_the_criteria() {
         let sigma = sigma1();
-        assert_eq!(
-            adn_weak_acyclicity(&sigma),
-            AdnCombined::weak_acyclicity().accepts(&sigma)
-        );
-        assert_eq!(adn_safety(&sigma), AdnCombined::safety().accepts(&sigma));
-        assert_eq!(
-            adn_super_weak_acyclicity(&sigma),
-            AdnCombined::super_weak_acyclicity().accepts(&sigma)
-        );
+        let direct = [
+            AdnCombined::weak_acyclicity().accepts(&sigma),
+            AdnCombined::safety().accepts(&sigma),
+            AdnCombined::super_weak_acyclicity().accepts(&sigma),
+        ];
+        let registry: Vec<bool> = combined_criteria()
+            .iter()
+            .map(|c| c.accepts(&sigma))
+            .collect();
+        assert_eq!(registry, direct);
     }
 
     #[test]

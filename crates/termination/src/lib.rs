@@ -64,11 +64,6 @@ pub use semi_stratification::{
     semi_stratification_report, SemiStratification, SemiStratificationReport,
 };
 
-#[allow(deprecated)]
-pub use adornment::{is_semi_acyclic, is_semi_acyclic_with};
-#[allow(deprecated)]
-pub use semi_stratification::{is_semi_stratified, is_semi_stratified_with};
-
 /// Convenience re-exports.
 pub mod prelude {
     pub use chase_criteria::criterion::{Guarantee, TerminationCriterion, Verdict, Witness};
@@ -78,9 +73,4 @@ pub mod prelude {
     pub use crate::combined::{adn_combined, all_criteria, paper_criteria, AdnCombined};
     pub use crate::firing::{definition2_edge, firing_graph};
     pub use crate::semi_stratification::{semi_stratification_report, SemiStratification};
-
-    #[allow(deprecated)]
-    pub use crate::adornment::is_semi_acyclic;
-    #[allow(deprecated)]
-    pub use crate::semi_stratification::is_semi_stratified;
 }

@@ -91,27 +91,13 @@ impl TerminationCriterion for SemiStratification {
     }
 }
 
-/// Returns `true` iff `sigma` is semi-stratified (`S-Str`, Definition 3).
-#[deprecated(note = "use SemiStratification (TerminationCriterion) or the TerminationAnalyzer")]
-pub fn is_semi_stratified(sigma: &DependencySet) -> bool {
-    SemiStratification::default().accepts(sigma)
-}
-
-/// [`is_semi_stratified`] with an explicit firing-test configuration.
-#[deprecated(note = "use SemiStratification { config } (TerminationCriterion)")]
-pub fn is_semi_stratified_with(sigma: &DependencySet, config: &FiringConfig) -> bool {
-    semi_stratification_report_with(sigma, config).is_semi_stratified()
-}
-
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)] // the legacy `is_*` shims stay pinned by these tests
-
     use super::*;
     use chase_core::parser::parse_dependencies;
     use chase_core::DepId;
     use chase_criteria::criterion::Witness;
-    use chase_criteria::stratification::is_stratified;
+    use chase_criteria::stratification::Stratification;
 
     #[test]
     fn verdict_witnesses_match_the_report() {
@@ -155,8 +141,8 @@ mod tests {
             "#,
         )
         .unwrap();
-        assert!(is_semi_stratified(&sigma));
-        assert!(!is_stratified(&sigma));
+        assert!(SemiStratification::default().accepts(&sigma));
+        assert!(!Stratification.accepts(&sigma));
     }
 
     #[test]
@@ -191,8 +177,11 @@ mod tests {
         ];
         for src in inputs {
             let sigma = parse_dependencies(src).unwrap();
-            if is_stratified(&sigma) {
-                assert!(is_semi_stratified(&sigma), "Str ⊆ S-Str violated on {src}");
+            if Stratification.accepts(&sigma) {
+                assert!(
+                    SemiStratification::default().accepts(&sigma),
+                    "Str ⊆ S-Str violated on {src}"
+                );
             }
         }
     }
@@ -220,7 +209,7 @@ mod tests {
     #[test]
     fn self_feeding_existential_rule_is_rejected() {
         let sigma = parse_dependencies("r: E(?x, ?y) -> exists ?z: E(?y, ?z).").unwrap();
-        assert!(!is_semi_stratified(&sigma));
+        assert!(!SemiStratification::default().accepts(&sigma));
     }
 
     #[test]

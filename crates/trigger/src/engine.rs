@@ -20,12 +20,10 @@
 //! witnesses (as `γ∘h'`) and EGD equalities, so an inactive trigger can never
 //! become active again.
 
-use crate::conflict::ConflictSchedule;
 use crate::delta::DeltaQueue;
 use crate::index::FactIndex;
 use crate::parallel::{discover_batch, SeedAtoms};
 use crate::search::{exists_indexed_extension, for_each_seeded_id};
-use chase_core::pool::{self, ScopedJob};
 use chase_core::substitution::NullSubstitution;
 use chase_core::{
     Assignment, DepId, Dependency, DependencySet, Fact, FactId, GroundTerm, Instance, Snapshot,
@@ -331,129 +329,6 @@ impl<'a> TriggerEngine<'a> {
         self.pop_active(order)
     }
 
-    /// Pops a whole **conflict-free prefix** of the sequential pop order and
-    /// returns its active triggers, with the activity checks evaluated in
-    /// parallel on the persistent pool.
-    ///
-    /// This is the conflict-aware scheduling step of the parallel standard
-    /// chase: the prefix is grown greedily along the exact order
-    /// [`pop_active`](Self::next_active_trigger) would use (dependencies in
-    /// `order`, FIFO within each), admitting a next trigger only while the
-    /// pairwise conditions of [`ConflictSchedule`] hold — earlier members'
-    /// writes cannot flip its activity (checked against the frozen pre-batch
-    /// instance) and cannot seed a dependency the sequential engine would pop
-    /// before the prefix's last member. Inactive prefix members are dropped in
-    /// order (counted in `triggers_dropped`), exactly as the sequential pop
-    /// would; if the whole prefix was inactive the method retries until it
-    /// finds an active trigger or quiesces.
-    ///
-    /// The caller must apply the returned triggers **in order**, draining the
-    /// deltas after each application (see `chase_engine`'s batched standard
-    /// runner); under that discipline the run is bitwise identical to the
-    /// sequential engine. Callers should route EGD-bearing sets to the
-    /// sequential path — the schedule marks EGDs as conflicting with
-    /// everything, so batches would always have length 1.
-    pub fn next_active_batch(
-        &mut self,
-        order: &[DepId],
-        schedule: &ConflictSchedule,
-        workers: usize,
-    ) -> Vec<Trigger> {
-        let workers = workers.max(1);
-        loop {
-            self.drain_deltas_parallel(workers);
-            // Grow the maximal conflict-free prefix of the pop order.
-            let mut prefix: Vec<DepId> = Vec::new();
-            {
-                // Distinct dependencies already in the prefix (small: same-dep
-                // pairs conflict, so it has at most one entry per dependency).
-                let mut deps_in: Vec<DepId> = Vec::new();
-                // Tightest ordering bound so far: every already-admitted
-                // member's writes may seed queues only at rank ≥ the candidate.
-                let mut seed_floor = usize::MAX;
-                'grow: for &id in order {
-                    for _ in 0..self.pending[id.0].len() {
-                        let admissible = prefix.is_empty()
-                            || (schedule.rank(id) <= seed_floor
-                                && deps_in.iter().all(|&d| schedule.independent(d, id)));
-                        if !admissible {
-                            break 'grow;
-                        }
-                        prefix.push(id);
-                        seed_floor = seed_floor.min(schedule.min_seed_rank(id));
-                        if !deps_in.contains(&id) {
-                            deps_in.push(id);
-                        }
-                    }
-                }
-            }
-            if prefix.is_empty() {
-                return Vec::new();
-            }
-            // Check the prefix's activity concurrently against the frozen
-            // instance. Sound because of activity stability: no earlier prefix
-            // member's apply can change a later member's verdict.
-            let actives: Vec<bool> = {
-                let this: &TriggerEngine<'a> = &*self;
-                let mut refs: Vec<(DepId, &Assignment)> = Vec::with_capacity(prefix.len());
-                let mut taken = vec![0usize; this.pending.len()];
-                for &id in &prefix {
-                    let h = this.pending[id.0]
-                        .get(taken[id.0])
-                        .expect("prefix entries are queued");
-                    taken[id.0] += 1;
-                    refs.push((id, h));
-                }
-                if workers > 1 && refs.len() > 1 {
-                    let chunk = refs.len().div_ceil(workers);
-                    let jobs: Vec<ScopedJob<'_, Vec<bool>>> = refs
-                        .chunks(chunk)
-                        .map(|part| {
-                            Box::new(move || {
-                                part.iter()
-                                    .map(|&(id, h)| this.is_standard_active(this.sigma.get(id), h))
-                                    .collect()
-                            }) as ScopedJob<'_, Vec<bool>>
-                        })
-                        .collect();
-                    pool::with_workers(workers)
-                        .run_jobs(jobs)
-                        .into_iter()
-                        .flatten()
-                        .collect()
-                } else {
-                    refs.iter()
-                        .map(|&(id, h)| this.is_standard_active(this.sigma.get(id), h))
-                        .collect()
-                }
-            };
-            // Commit: pop the prefix in order, keeping actives and dropping
-            // inactives exactly as the sequential pop would.
-            let mut out = Vec::new();
-            for (&id, &active) in prefix.iter().zip(&actives) {
-                let h = self.pending[id.0]
-                    .pop_front()
-                    .expect("prefix entries are queued");
-                if active {
-                    out.push(Trigger {
-                        dep: id,
-                        assignment: h,
-                    });
-                } else {
-                    self.stats.triggers_dropped += 1;
-                }
-            }
-            if !out.is_empty() {
-                return out;
-            }
-            if self.is_quiescent() {
-                return Vec::new();
-            }
-            // The whole prefix was inactive: the queues strictly shrank, so
-            // retrying makes progress toward an active trigger or quiescence.
-        }
-    }
-
     fn pop_active(&mut self, order: &[DepId]) -> Option<Trigger> {
         for &id in order {
             let dep = self.sigma.get(id);
@@ -651,109 +526,6 @@ mod tests {
         )
         .unwrap();
         (p.dependencies, p.database)
-    }
-
-    /// Disjoint read/write partitions batch together: the conflict-free prefix
-    /// spans both chains, so one `next_active_batch` call returns both
-    /// triggers — and in the exact order the sequential pop would produce.
-    #[test]
-    fn disjoint_partitions_batch_and_match_the_sequential_pop_order() {
-        let p = parse_program(
-            r#"
-            a1: A(?x) -> P(?x).
-            x1: X(?x) -> Q(?x).
-            A(a). X(b).
-            "#,
-        )
-        .unwrap();
-        let order: Vec<DepId> = p.dependencies.ids().collect();
-        let schedule = ConflictSchedule::new(&p.dependencies, &order);
-
-        let mut sequential = TriggerEngine::with_database(&p.dependencies, &p.database);
-        let mut expected = Vec::new();
-        while let Some(t) = sequential.next_active_trigger(&order) {
-            sequential.apply_trigger(t.dep, &t.assignment);
-            expected.push(t);
-        }
-        assert_eq!(expected.len(), 2);
-
-        let mut batched = TriggerEngine::with_database(&p.dependencies, &p.database);
-        let batch = batched.next_active_batch(&order, &schedule, 4);
-        assert_eq!(batch, expected, "one batch covers both partitions");
-        for t in &batch {
-            batched.apply_trigger(t.dep, &t.assignment);
-            batched.drain_deltas_parallel(4);
-        }
-        assert!(batched.next_active_batch(&order, &schedule, 4).is_empty());
-        assert_eq!(batched.instance(), sequential.instance());
-    }
-
-    /// A self-recursive rule (writes ∩ reads ≠ ∅) must serialize: each batch
-    /// carries exactly one trigger, because a fired head can deactivate (or
-    /// re-order) a sibling of the same dependency.
-    #[test]
-    fn conflicting_triggers_serialize_to_singleton_batches() {
-        let p = parse_program(
-            r#"
-            t: E(?x, ?y), E(?y, ?z) -> E(?x, ?z).
-            E(a, b). E(b, c). E(c, d).
-            "#,
-        )
-        .unwrap();
-        let order: Vec<DepId> = p.dependencies.ids().collect();
-        let schedule = ConflictSchedule::new(&p.dependencies, &order);
-        let mut engine = TriggerEngine::with_database(&p.dependencies, &p.database);
-        let mut steps = 0usize;
-        loop {
-            let batch = engine.next_active_batch(&order, &schedule, 4);
-            if batch.is_empty() {
-                break;
-            }
-            assert_eq!(batch.len(), 1, "same-dep triggers must not share a batch");
-            for t in batch {
-                engine.apply_trigger(t.dep, &t.assignment);
-                engine.drain_deltas_parallel(4);
-            }
-            steps += 1;
-        }
-        // Closure of a 4-chain adds 3 edges: 3 + 2 + 1 = 6 total.
-        assert_eq!(engine.instance().len(), 6);
-        assert_eq!(steps, 3);
-    }
-
-    /// `next_active_batch` drops inactive prefix members exactly like the
-    /// sequential pop (counted, in order) and keeps searching past an
-    /// all-inactive prefix instead of reporting quiescence.
-    #[test]
-    fn batch_drops_inactive_triggers_and_retries() {
-        let p = parse_program(
-            r#"
-            r: A(?x) -> exists ?y: R(?x, ?y).
-            A(a). A(b).
-            "#,
-        )
-        .unwrap();
-        let order: Vec<DepId> = p.dependencies.ids().collect();
-        let schedule = ConflictSchedule::new(&p.dependencies, &order);
-        let mut engine = TriggerEngine::with_database(&p.dependencies, &p.database);
-        // First batch: same-dep triggers serialize, so it is [r @ a].
-        let first = engine.next_active_batch(&order, &schedule, 2);
-        assert_eq!(first.len(), 1);
-        engine.apply_trigger(first[0].dep, &first[0].assignment);
-        engine.drain_deltas_parallel(2);
-        // Second batch: [r @ b], still active (R(b, ·) is not witnessed).
-        let second = engine.next_active_batch(&order, &schedule, 2);
-        assert_eq!(second.len(), 1);
-        engine.apply_trigger(second[0].dep, &second[0].assignment);
-        engine.drain_deltas_parallel(2);
-        let dropped_before = engine.stats().triggers_dropped;
-        assert!(engine.next_active_batch(&order, &schedule, 2).is_empty());
-        assert_eq!(
-            engine.stats().triggers_dropped,
-            dropped_before,
-            "no further pending triggers existed to drop"
-        );
-        assert!(engine.is_quiescent());
     }
 
     #[test]

@@ -44,14 +44,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod conflict;
 pub mod delta;
 pub mod engine;
 pub mod index;
 pub mod parallel;
 pub mod search;
 
-pub use conflict::ConflictSchedule;
 pub use delta::DeltaQueue;
 pub use engine::{EngineStats, StepEffect, StepLog, Trigger, TriggerEngine};
 pub use index::FactIndex;

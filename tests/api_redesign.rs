@@ -1,15 +1,13 @@
 //! Integration tests for the unified `Chase` session API and the witness-producing
 //! `TerminationAnalyzer`:
 //!
-//! * every `TerminationCriterion` verdict agrees with its legacy `is_*` boolean
-//!   across seeded `OntologyProfile` outputs (the shims and the structs are one
-//!   implementation — these tests pin that the delegation is faithful);
+//! * the WA / SC / SwA verdicts agree with independent graph predicates across
+//!   seeded `OntologyProfile` outputs, and the analyzer agrees with the
+//!   exhaustive criteria portfolio;
 //! * budget enforcement: no variant ever exceeds `max_steps`, fresh-null overshoot
 //!   is bounded by a single step's worth, and exhausted runs report the tripped
 //!   limit;
 //! * `ChaseOutcome::Failed` carries full EGD diagnostics in every variant.
-
-#![allow(deprecated)] // the whole point: compare the legacy shims with the new API
 
 use chase_ontology::generator::{generate, generate_database, OntologyProfile};
 use egd_chase::prelude::*;
@@ -30,54 +28,9 @@ fn seeded_corpus() -> Vec<DependencySet> {
 }
 
 #[test]
-fn every_criterion_verdict_agrees_with_its_legacy_boolean() {
-    type LegacyCheck = (&'static str, fn(&DependencySet) -> bool);
-    let legacy: Vec<LegacyCheck> = vec![
-        ("WA", |s| chase_criteria::is_weakly_acyclic(s)),
-        ("SC", |s| chase_criteria::is_safe(s)),
-        ("SwA", |s| chase_criteria::is_super_weakly_acyclic(s)),
-        ("Str", |s| chase_criteria::is_stratified(s)),
-        ("CStr", |s| chase_criteria::is_c_stratified(s)),
-        ("MFA", |s| chase_criteria::is_mfa(s)),
-        ("S-Str", |s| chase_termination::is_semi_stratified(s)),
-        ("SAC", |s| chase_termination::is_semi_acyclic(s)),
-        ("Adn-WA", |s| {
-            chase_termination::combined::adn_weak_acyclicity(s)
-        }),
-        ("Adn-SC", |s| chase_termination::combined::adn_safety(s)),
-        ("Adn-SwA", |s| {
-            chase_termination::combined::adn_super_weak_acyclicity(s)
-        }),
-    ];
-    let criteria = all_criteria();
-    assert_eq!(
-        criteria.len(),
-        legacy.len(),
-        "a criterion is missing a legacy shim"
-    );
-    for (i, sigma) in seeded_corpus().into_iter().enumerate() {
-        for (name, check) in &legacy {
-            let criterion = criteria
-                .iter()
-                .find(|c| c.name == *name)
-                .unwrap_or_else(|| panic!("criterion {name} not registered"));
-            let verdict = criterion.verdict(&sigma);
-            assert_eq!(
-                verdict.accepted,
-                check(&sigma),
-                "verdict and legacy boolean disagree for {name} on seeded set #{i}:\n{sigma}"
-            );
-            assert_eq!(verdict.criterion, *name);
-        }
-    }
-}
-
-#[test]
 fn wa_sc_swa_verdicts_match_the_independent_graph_predicates() {
-    // The `is_*` shims delegate to the verdict implementations, so the agreement
-    // test above cannot catch a bug in the new cycle *extraction* (both sides would
-    // flip together). These oracles are independent: the original SCC-based boolean
-    // predicates over the same graphs, untouched by the redesign.
+    // These oracles are independent of the verdicts' cycle *extraction*: the
+    // original SCC-based boolean predicates over the same graphs.
     use chase_criteria::safety::propagation_graph;
     use chase_criteria::super_weak::trigger_graph;
     use chase_criteria::weak_acyclicity::dependency_graph;
@@ -231,8 +184,8 @@ fn facts_rounds_and_wall_clock_budgets_report_their_limit() {
 
 #[test]
 fn default_budget_still_bounds_every_variant() {
-    // `ChaseBudget::default()` carries the legacy caps, so a plain `run` on a
-    // diverging set cannot spin forever.
+    // `ChaseBudget::default()` carries finite step and round caps, so a plain
+    // `run` on a diverging set cannot spin forever.
     let (sigma10, db10) = diverging_program();
     let out = Chase::standard(&sigma10)
         .with_budget(ChaseBudget::default().with_max_steps(500))

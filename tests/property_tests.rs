@@ -12,7 +12,8 @@ use chase_core::{
     Variable,
 };
 use chase_engine::{
-    core_of, is_core, Chase, ChaseBudget, ChaseOutcome, ObliviousVariant, StepOrder, TraceObserver,
+    core_of, is_core, BudgetLimit, Chase, ChaseBudget, ChaseEvent, ChaseOutcome, EventObserver,
+    ObliviousVariant, StepOrder, TraceObserver,
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -160,6 +161,35 @@ fn test_worker_counts() -> Vec<usize> {
     counts
 }
 
+/// One opt-in phase event of a chase run with its wall-clock fields dropped.
+#[derive(Debug, PartialEq)]
+enum PhaseEvent {
+    Discovery {
+        facts_scanned: usize,
+        triggers_found: usize,
+    },
+    BudgetChecked(Option<BudgetLimit>),
+}
+
+/// The `discovery_completed` and `budget_checked` events of one run of
+/// `session` at `workers`, in emission order.
+fn phase_stream(session: &Chase<'_>, db: &Instance, workers: usize) -> Vec<PhaseEvent> {
+    let mut events = Vec::new();
+    let mut observer = EventObserver(|event| match event {
+        ChaseEvent::DiscoveryCompleted { stats } => events.push(PhaseEvent::Discovery {
+            facts_scanned: stats.facts_scanned(),
+            triggers_found: stats.triggers_found(),
+        }),
+        ChaseEvent::BudgetChecked { tripped } => events.push(PhaseEvent::BudgetChecked(tripped)),
+        _ => {}
+    });
+    session
+        .clone()
+        .workers(workers)
+        .run_observed(db, &mut observer);
+    events
+}
+
 // The null-bijection checker lives in chase_core (`isomorphic_up_to_null_renaming`)
 // since the incremental-maintenance work: the differential suites there and here
 // share one implementation.
@@ -258,8 +288,7 @@ fn parallel_worker_count_never_changes_the_output_bytes() {
 /// spawning fresh ones — and must be byte-identical to the first: no state
 /// (queued jobs, stale results, panic residue) leaks from one run into the
 /// next. Exercised across all pool-backed variants, including the standard
-/// chase (conflict-aware batching + parallel drains) and the core chase
-/// (parallel fold search).
+/// chase (parallel drains) and the core chase (parallel fold search).
 #[test]
 fn pool_reuse_across_consecutive_runs_is_byte_identical() {
     use chase_ontology::generator::{generate, generate_database, OntologyProfile};
@@ -692,7 +721,9 @@ proptest! {
     /// the sequential runner:
     ///
     /// * the **standard** chase is *bitwise identical* (parallel discovery merges
-    ///   order-preservingly, so the very same trigger sequence fires);
+    ///   order-preservingly, so the very same trigger sequence fires), down to
+    ///   its phase-event stream: one discovery event per trigger search with
+    ///   the same seeds scanned and triggers found, and the same budget checks;
     /// * the **(semi-)oblivious** chases produce instances isomorphic to the
     ///   sequential result — equal up to a renaming of labeled nulls, verified by
     ///   an exact bijection search — with identical `ChaseOutcome` kind, tripped
@@ -728,6 +759,7 @@ proptest! {
         for (name, session) in sessions {
             let mut seq_trace = TraceObserver::new();
             let sequential = session.clone().run_observed(&db, &mut seq_trace);
+            let seq_phases = (name == "standard").then(|| phase_stream(&session, &db, 1));
             let mut previous: Option<(ChaseOutcome, TraceObserver)> = None;
             for workers in test_worker_counts() {
                 let mut trace = TraceObserver::new();
@@ -763,6 +795,13 @@ proptest! {
                         seed
                     );
                     prop_assert_eq!(&seq_trace.steps, &trace.steps);
+                    prop_assert_eq!(
+                        seq_phases.as_ref().unwrap(),
+                        &phase_stream(&session, &db, workers),
+                        "standard phase events diverged at {} workers (seed {})",
+                        workers,
+                        seed
+                    );
                 } else {
                     if sequential.is_terminating() {
                         prop_assert_eq!(sequential.stats(), parallel.stats());
