@@ -2,17 +2,18 @@
 //! 1/2/4/8 workers on a large EGD-free ontology workload and a
 //! transitive-closure stress case.
 //!
-//! `workers = 1` is the sequential runner (the exact pre-existing code path);
-//! `workers > 1` feeds shard-partitioned trigger discovery over a read-only
-//! snapshot to the persistent worker pool (`chase_core::pool`) with the
-//! deterministic `(DepId, body FactIds)` merge — for the standard chase, only
-//! its discovery drains, around the sequential apply loop — so every
-//! configuration computes the same model (up to null renaming vs. sequential
-//! for the oblivious variants, bitwise-identical for the standard chase —
-//! proven by `tests/property_tests.rs`). Measured numbers are recorded in
+//! Each variant runs one runner at every worker count, so every configuration
+//! computes byte-identical output (proven by `tests/property_tests.rs`); the
+//! worker count only sets how many pool lanes (`chase_core::pool`) the
+//! read-only discovery uses. For the EGD-free (semi-)oblivious variants that
+//! is the round runner: sharded discovery of each round's delta over a
+//! read-only snapshot, the fired-key filter in discovery order, then a
+//! sequential apply. For the standard chase it is the sequential apply loop
+//! with sharded discovery drains. `workers = 1` runs the same code with
+//! discovery inline on the calling thread. Measured numbers are recorded in
 //! `BENCH_parallel_chase.json` at the repository root, together with the host's
 //! CPU budget: on a host with fewer CPUs than workers the parallel rows measure
-//! determinism overhead, not speedup.
+//! pool overhead, not speedup.
 //!
 //! With `CHASE_PARALLEL_GATE=1` the binary runs as a pass/fail **gate** instead
 //! of a criterion sweep: it detects the core count at runtime, measures the
@@ -25,10 +26,10 @@
 //! After the timing groups, a **phase-attribution pass** re-runs every
 //! configuration once with a [`MetricsObserver`] attached and prints a JSON
 //! breakdown of the run's wall-clock into the named phases `discovery`, `merge`
-//! and `apply` (the parallel path's overhead — snapshot construction, the
-//! canonical merge sort — lands in `discovery`/`merge` by construction, so the
-//! overhead of the determinism machinery is attributed, not lost). The rows are
-//! recorded in `BENCH_parallel_chase.json` under `"phases"`.
+//! and `apply` (snapshot construction and pool handoff land in `discovery`,
+//! the fired-key filter in `merge`, so the round runner's overhead is
+//! attributed, not lost). The rows are recorded in `BENCH_parallel_chase.json`
+//! under `"phases"`.
 
 use chase_engine::{Chase, ChaseBudget, MetricsObserver};
 use chase_obs::{duration_ns, JsonValue};

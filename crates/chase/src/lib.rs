@@ -16,10 +16,12 @@
 //! EGD and trigger and whose budget case names the tripped limit, and a pluggable
 //! [`ChaseObserver`] for tracing and metrics.
 //!
-//! Trigger discovery is delta-driven by default: the runners feed each step's
-//! added or rewritten facts to the incremental
-//! [`TriggerEngine`](chase_trigger::TriggerEngine) instead of re-scanning the
-//! whole instance (switch back with
+//! Trigger discovery is delta-driven by default: the runners seed discovery
+//! from each step's (or, in the round runner of the EGD-free oblivious
+//! variants, each round's) added or rewritten facts through the incremental
+//! [`TriggerEngine`](chase_trigger::TriggerEngine) or
+//! [`discover_batch`](chase_trigger::discover_batch) instead of re-scanning
+//! the whole instance (switch the standard chase back with
 //! [`Chase::with_discovery`]`(`[`TriggerDiscovery::NaiveRescan`]`)`). Step
 //! bookkeeping rides the arena-interned `chase_core::FactStore`: deltas travel
 //! as dense `FactId`s, the core chase substitutes in place through the id delta,

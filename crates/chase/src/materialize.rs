@@ -2,8 +2,8 @@
 //! incrementally maintained materialization.
 //!
 //! [`Chase::materialize`](crate::Chase::materialize) runs a (semi-)oblivious
-//! session sequentially with an internal observer that opts into the
-//! derivation events ([`ChaseObserver::fact_derived`] /
+//! session, at its own worker count, with an internal observer that opts into
+//! the derivation events ([`ChaseObserver::fact_derived`] /
 //! [`ChaseObserver::facts_rewritten`]),
 //! and packages the outcome together with the full derivation log as a
 //! [`MaterializedRun`]. The log is **replayable**: every event carries enough
@@ -25,10 +25,11 @@
 //!
 //! ## Id space
 //!
-//! All [`chase_core::FactId`]s in the log refer to the run's own engine arena.
-//! Because the sequential runner is deterministic, a consumer that replays the
-//! log on a fresh engine seeded from the same database reproduces the same
-//! arena — but the log is self-describing either way: the final instance's
+//! All [`chase_core::FactId`]s in the log refer to the run's own arena. Both
+//! runners are deterministic, and the round runner of an EGD-free set logs
+//! the same events at every worker count, so a consumer that replays the log
+//! on a fresh engine seeded from the same database reproduces the same arena
+//! — but the log is self-describing either way: the final instance's
 //! [`chase_core::FactStore`] (arena interning survives EGD rewrites and
 //! removals) resolves every id that ever appears.
 
@@ -225,18 +226,22 @@ mod tests {
     }
 
     #[test]
-    fn materialize_forces_the_sequential_path() {
-        // workers(4) on an EGD-free set would take the round-parallel runner,
-        // which cannot log derivations; materialize must still record every
-        // step (one Fired per applied step on a TGD-only program).
-        let p = parse_program("t: E(?x, ?y), E(?y, ?z) -> E(?x, ?z). E(a, b). E(b, c). E(c, d).")
-            .unwrap();
-        let run = Chase::semi_oblivious(&p.dependencies)
-            .workers(4)
-            .materialize(&p.database)
-            .unwrap();
-        assert_eq!(run.log.len(), run.outcome.stats().steps);
-        assert_eq!(run.instance().len(), 6, "closure of a 4-chain");
-        assert_eq!(run.database, p.database);
+    fn materialize_log_is_identical_at_every_worker_count() {
+        // An EGD-free set runs on the round runner at every worker count,
+        // which logs every step itself: one Fired per applied step, and the
+        // same log (fresh nulls included) at workers(4) as at workers(1).
+        let p = parse_program(
+            "r: E(?x, ?y) -> exists ?z: F(?y, ?z). t: E(?x, ?y), E(?y, ?z) -> E(?x, ?z). \
+             E(a, b). E(b, c). E(c, d).",
+        )
+        .unwrap();
+        let session = Chase::semi_oblivious(&p.dependencies);
+        let one = session.materialize(&p.database).unwrap();
+        let four = session.workers(4).materialize(&p.database).unwrap();
+        assert_eq!(four.log.len(), four.outcome.stats().steps);
+        // The closure of a 4-chain, plus one F fact per frontier image b, c, d.
+        assert_eq!(four.instance().len(), 6 + 3);
+        assert_eq!(four.database, p.database);
+        assert_eq!((one.log, one.outcome), (four.log, four.outcome));
     }
 }

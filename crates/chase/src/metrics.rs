@@ -188,8 +188,10 @@ impl ChaseObserver for MetricsObserver {
     }
 
     fn round_completed(&mut self, round: usize, facts: usize) {
-        // Residue since the last step (round bookkeeping, dedup, EGD passes)
-        // is charged to `apply` so the round's wall-clock stays fully named.
+        // Residue since the last step (round bookkeeping; for the core chase
+        // also its EGD passes and core computation) is charged to `apply`, so
+        // the round's wall-clock stays fully named. The round runner's
+        // fired-key filter has its own `merge` span.
         let span = self.take_span();
         self.phases.add("apply", span);
         self.registry.inc("chase.rounds");
@@ -284,9 +286,24 @@ mod tests {
         assert!(metrics.registry().counter("budget.checks") > 0);
         assert!(metrics.phases().get("discovery").is_some());
         assert!(metrics.phases().get("apply").is_some());
-        // Round events come from the round-parallel and core paths only, so a
-        // sequential step-at-a-time run has an empty curve.
-        assert!(metrics.rounds().is_empty());
+        // An EGD-free run takes the round runner at every worker count, so
+        // `workers(1)` draws the same round curve (facts and nulls per round)
+        // as `workers(4)`; the step-at-a-time runners (an EGD-bearing
+        // oblivious run, the standard chase) draw none.
+        let curve = |session: Chase<'_>, db| {
+            let mut m = MetricsObserver::new();
+            assert!(session.workers(4).run_observed(db, &mut m).stats().steps > 0);
+            m.rounds().to_vec()
+        };
+        assert!(!metrics.rounds().is_empty());
+        let four = curve(Chase::semi_oblivious(&p.dependencies), &p.database);
+        assert_eq!(metrics.rounds(), four);
+        let egd = parse_program(
+            "r: E(?x, ?y) -> exists ?z: F(?y, ?z). k: F(?x, ?y), F(?x, ?z) -> ?y = ?z. E(a, b).",
+        )
+        .unwrap();
+        assert!(curve(Chase::semi_oblivious(&egd.dependencies), &egd.database).is_empty());
+        assert!(curve(Chase::standard(&p.dependencies), &p.database).is_empty());
         // Sequential runs report their discovery as a single worker-0 shard.
         let workers = metrics.worker_reports();
         assert_eq!(workers.len(), 1);
@@ -304,7 +321,7 @@ mod tests {
         assert!(metrics.phases().get("merge").is_some());
         assert!(
             !metrics.rounds().is_empty(),
-            "round-parallel emits the curve"
+            "the round runner emits the curve"
         );
         let workers = metrics.worker_reports();
         assert!(!workers.is_empty() && workers.len() <= 3);

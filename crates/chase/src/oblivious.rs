@@ -13,7 +13,10 @@
 //! (contrast with the standard chase, cf. Example 6 of the paper).
 //!
 //! The front door is [`Chase::oblivious`](crate::Chase::oblivious) /
-//! [`Chase::semi_oblivious`](crate::Chase::semi_oblivious).
+//! [`Chase::semi_oblivious`](crate::Chase::semi_oblivious). There are two
+//! runners, and the dependency set alone picks one: every EGD-free run goes
+//! through the round runner of [`crate::parallel`], at every worker count; an
+//! EGD-bearing run goes through the step loop here (`run_step_loop`).
 
 use crate::budget::{BudgetClock, ChaseBudget};
 use crate::observer::{record_step_effect, ChaseObserver};
@@ -21,7 +24,8 @@ use crate::result::{ChaseOutcome, ChaseStats};
 use crate::step::StepEffect;
 use chase_core::substitution::NullSubstitution;
 use chase_core::{
-    DepId, Dependency, DependencySet, DiscoveryStats, GroundTerm, Instance, ShardStats, Variable,
+    Assignment, DepId, Dependency, DependencySet, DiscoveryStats, GroundTerm, Instance, ShardStats,
+    Variable,
 };
 use chase_trigger::TriggerEngine;
 use std::collections::HashSet;
@@ -62,20 +66,21 @@ pub fn key_variables(variant: ObliviousVariant, dep: &Dependency) -> Vec<Variabl
     }
 }
 
+/// The fired key of the trigger `(dep, h)`: the images of `dep`'s key
+/// variables (see [`key_variables`]), in order.
+pub(crate) fn fired_key(key_vars: &[Variable], h: &Assignment) -> Vec<GroundTerm> {
+    key_vars
+        .iter()
+        .map(|&v| h.get(v).expect("body variables are bound"))
+        .collect()
+}
+
 /// Runs the (semi-)oblivious chase under `budget`, reporting events to `observer`.
 ///
-/// Trigger discovery is delta-driven: homomorphisms are found once, when the facts
-/// completing them appear, and wait in the engine's queues; the fired-key comparison
-/// ("`h_i(x) = h_j(x) γ_j · · · γ_{i-1}`") filters them at pop time.
-///
-/// With `workers > 1` and an EGD-free `sigma`, the run goes through the
-/// round-parallel runner ([`crate::parallel`]): snapshot discovery on worker
-/// threads, canonical `(DepId, body FactIds)` merge, sequential application.
-/// EGD-bearing sets stay on the sequential path below regardless of `workers`,
-/// because the fired-key sets are rewritten by every substitution
-/// (`h ↦ γ∘h γ_j···γ_{i-1}`): which triggers fire — and how many — then depends
-/// on the interleaving of substitutions with TGD steps, so no worker-count-
-/// independent merge order can reproduce the sequential semantics.
+/// An EGD-free `sigma` runs on the round runner ([`crate::parallel`]) at every
+/// worker count, `workers(1)` and derivation-recorded runs included. An
+/// EGD-bearing `sigma` runs on the step loop ([`run_step_loop`]) whatever
+/// `workers` says.
 pub(crate) fn run_oblivious(
     sigma: &DependencySet,
     variant: ObliviousVariant,
@@ -88,15 +93,31 @@ pub(crate) fn run_oblivious(
         .iter()
         .map(|(_, dep)| key_variables(variant, dep))
         .collect();
-    // Derivation-observed runs stay sequential even when EGD-free: the log is
-    // per applied step, and the parallel runner's outcome is sequential-
-    // equivalent anyway (only wall-clock would change).
-    let derivations = observer.observes_derivations();
-    if workers > 1 && sigma.egd_ids().is_empty() && !derivations {
+    if sigma.egd_ids().is_empty() {
         return crate::parallel::run_oblivious_parallel(
             sigma, &key_vars, budget, database, observer, workers,
         );
     }
+    run_step_loop(sigma, &key_vars, budget, database, observer)
+}
+
+/// The step loop: one trigger at a time on a [`TriggerEngine`], in dependency
+/// order. It runs only EGD-bearing sets, because an EGD substitution rewrites
+/// the pending triggers and every fired key (`h ↦ γ∘h`) and the round runner
+/// does not. For EGD-free sets it is the reference the round runner is checked
+/// against (the differential test in [`crate::parallel`]).
+///
+/// Trigger discovery is delta-driven: homomorphisms are found once, when the facts
+/// completing them appear, and wait in the engine's queues; the fired-key comparison
+/// ("`h_i(x) = h_j(x) γ_j · · · γ_{i-1}`") filters them at pop time.
+pub(crate) fn run_step_loop(
+    sigma: &DependencySet,
+    key_vars: &[Vec<Variable>],
+    budget: &ChaseBudget,
+    database: &Instance,
+    observer: &mut dyn ChaseObserver,
+) -> ChaseOutcome {
+    let derivations = observer.observes_derivations();
     // Fired trigger keys per dependency, kept up to date under EGD substitutions.
     let mut fired: Vec<Vec<Vec<GroundTerm>>> = vec![Vec::new(); sigma.len()];
     let mut fired_lookup: Vec<HashSet<Vec<GroundTerm>>> = vec![HashSet::new(); sigma.len()];
@@ -127,10 +148,7 @@ pub(crate) fn run_oblivious(
         let scanned_before = phases.then(|| engine.stats().deltas_processed);
         let found_before = phases.then(|| engine.stats().triggers_discovered);
         let trigger = engine.next_trigger_where(&order, |id, h| {
-            let key: Vec<GroundTerm> = key_vars[id.0]
-                .iter()
-                .map(|v| h.get(*v).expect("body variables are bound"))
-                .collect();
+            let key = fired_key(&key_vars[id.0], h);
             if fired_lookup[id.0].contains(&key) {
                 false
             } else {

@@ -7,16 +7,17 @@
 //!
 //! Event streams per variant:
 //!
-//! * **standard** and **(semi-)oblivious** (sequential): [`ChaseObserver::step_applied`]
-//!   after every applied step (including the failing one), plus
-//!   [`ChaseObserver::nulls_created`] / [`ChaseObserver::egd_collapsed`] for the
-//!   steps that invent nulls or apply a substitution;
+//! * **standard** and **EGD-bearing (semi-)oblivious** (step at a time):
+//!   [`ChaseObserver::step_applied`] after every applied step (including the
+//!   failing one), plus [`ChaseObserver::nulls_created`] /
+//!   [`ChaseObserver::egd_collapsed`] for the steps that invent nulls or apply a
+//!   substitution;
 //! * **core**: [`ChaseObserver::round_completed`] after every round, with
 //!   [`ChaseObserver::nulls_created`] and [`ChaseObserver::egd_collapsed`] for the
 //!   round's aggregate effects (the core chase applies all triggers in parallel, so
 //!   there is no meaningful per-step event);
-//! * **round-parallel (semi-)oblivious** ([`Chase::workers`](crate::Chase::workers)
-//!   `> 1`): the per-step events of the sequential runners *and* the round pair
+//! * **EGD-free (semi-)oblivious** (the round runner, at every worker count):
+//!   the per-step events of the step-at-a-time runners *and* the round pair
 //!   after each completed round.
 //!
 //! ## Round-event order (pinned)
@@ -42,13 +43,13 @@
 //! * [`ChaseObserver::discovery_completed`] — a trigger-discovery batch
 //!   finished, with per-worker [`ShardStats`](chase_core::ShardStats)
 //!   (fact ids scanned, triggers found, shard wall-clock). Emitted **before**
-//!   the step events of the triggers it discovered. Sequential runners report
-//!   a single worker-0 shard per discovery call; the round-parallel runner
-//!   reports one shard per worker per round.
-//! * [`ChaseObserver::merge_completed`] — the round-parallel runner finished
-//!   deduplicating and canonically sorting a round's candidate batch; emitted
-//!   between the round's `discovery_completed` and its step events. Sequential
-//!   runners never emit it.
+//!   the step events of the triggers it discovered. Step-at-a-time runners
+//!   report a single worker-0 shard per discovery call; the round runner
+//!   reports one shard per worker per round (one at `workers(1)`).
+//! * [`ChaseObserver::merge_completed`] — the round runner finished its
+//!   fired-key filter over a round's candidates, in discovery order; emitted
+//!   between the round's `discovery_completed` and its step events.
+//!   Step-at-a-time runners never emit it.
 //! * [`ChaseObserver::budget_checked`] — the runner consulted the budget
 //!   clock; carries the tripped limit when the check failed. Emitted at every
 //!   per-step/per-round check, so it
@@ -115,10 +116,10 @@ pub trait ChaseObserver {
         let _ = stats;
     }
 
-    /// The round-parallel runner merged a round's candidate batch: `candidates`
-    /// triggers entered dedup, `deduped` survived into the canonically sorted
-    /// round, taking `elapsed` wall-clock. Only emitted when
-    /// [`ChaseObserver::observes_phases`] returns `true`.
+    /// The round runner merged a round's candidate batch: `candidates`
+    /// triggers entered the fired-key filter, `deduped` carried a key that had
+    /// not fired yet and make up the round, taking `elapsed` wall-clock. Only
+    /// emitted when [`ChaseObserver::observes_phases`] returns `true`.
     fn merge_completed(&mut self, candidates: usize, deduped: usize, elapsed: Duration) {
         let _ = (candidates, deduped, elapsed);
     }
@@ -134,10 +135,8 @@ pub trait ChaseObserver {
     /// ([`ChaseObserver::fact_derived`], [`ChaseObserver::facts_rewritten`]).
     /// Consulted **once per run**, like [`ChaseObserver::observes_phases`].
     /// Returning `true` makes the (semi-)oblivious runners resolve each step's
-    /// body image at the [`FactId`] level and — because derivation logs are
-    /// defined per applied step — forces them onto the sequential path even for
-    /// EGD-free sets with `workers > 1` (whose parallel outcome is
-    /// sequential-equivalent, so only wall-clock changes). The standard and
+    /// body image at the [`FactId`] level; it does not change which runner
+    /// runs, nor how many workers it uses. The standard and
     /// core chases never emit derivation events: their step semantics are not
     /// monotone in the base, so no support ledger can maintain them (see
     /// [`Chase::materialize`](crate::Chase::materialize)).
@@ -220,8 +219,8 @@ pub struct TraceObserver {
     pub collapses: Vec<NullSubstitution>,
     /// Total fresh nulls reported.
     pub nulls: usize,
-    /// Rounds completed, as `(round, facts)` (core chase and the round-parallel
-    /// runner; empty for sequential step-based variants).
+    /// Rounds completed, as `(round, facts)` (core chase and the round runner;
+    /// empty for the step-at-a-time runners).
     pub rounds: Vec<(usize, usize)>,
     /// Per-round live-null counts ([`ChaseObserver::round_nulls`]), parallel to
     /// [`TraceObserver::rounds`]. Previously this event was silently dropped by
@@ -296,11 +295,12 @@ pub enum ChaseEvent {
         /// Per-shard and whole-batch statistics.
         stats: DiscoveryStats,
     },
-    /// A parallel merge pass finished ([`ChaseObserver::merge_completed`]).
+    /// The round runner's merge (its fired-key filter) finished
+    /// ([`ChaseObserver::merge_completed`]).
     MergeCompleted {
         /// Triggers entering the merge.
         candidates: usize,
-        /// Triggers surviving dedup.
+        /// Triggers whose key had not fired yet.
         deduped: usize,
         /// Wall-clock of the merge pass.
         elapsed: Duration,

@@ -1,34 +1,33 @@
-//! The round-parallel chase runner for the (semi-)oblivious variants.
+//! The round runner: the one runner of every EGD-free (semi-)oblivious run, at
+//! every worker count.
 //!
 //! The paper's oblivious and semi-oblivious chases fire *every* trigger of a round
 //! (modulo the fired-key comparison) — there is no activity check whose outcome
-//! depends on what else fired in the meantime. That makes their rounds honest:
-//! discovery can run against a frozen snapshot of the instance and the discovered
-//! batch can be applied wholesale, and the result is the same set of steps a
-//! sequential run would fire, in a different order. This module exploits exactly
-//! that:
+//! depends on what else fired in the meantime. Without EGDs the order in which a
+//! round's triggers fire can only rename nulls, so one deterministic order serves
+//! every worker count. Each round runs three stages:
 //!
-//! 1. **snapshot** — the round's new facts (the delta) are discovered against a
+//! 1. **discovery** — the round's new facts (the delta) are discovered against a
 //!    read-only [`Snapshot`] of the [`FactIndex`], sharded over disjoint
 //!    `FactId` ranges of the delta as jobs on the persistent worker pool
-//!    ([`chase_core::pool`] — long-lived channel-fed threads, no per-round
-//!    spawn; see [`chase_trigger::parallel::discover_batch`]);
-//! 2. **deterministic merge** — the merged candidates are deduped and sorted by
-//!    the canonical `(DepId, body FactIds)` order
-//!    ([`chase_trigger::sort_canonical`], keys computed for dedup survivors
-//!    only), which does not depend on the worker count or any hash order;
-//! 3. **sequential apply** — the sorted batch is applied one trigger at a time
-//!    with the same fired-key dedup and the same per-step budget-clock cadence
-//!    as the sequential runner, so fresh-null numbering, [`ChaseObserver`] event
-//!    streams and budget accounting are bitwise-identical **at any worker count**.
+//!    ([`chase_core::pool`]; see [`chase_trigger::parallel::discover_batch`]).
+//!    The candidates come back in batch order, which does not depend on the
+//!    worker count;
+//! 2. **merge** — the fired-key filter, in batch order: a candidate whose key
+//!    already fired is dropped. Seeds come only from the delta, and an EGD-free
+//!    run never removes or rewrites a fact, so a trigger is never found again in
+//!    a later round; duplicates within a round have equal keys;
+//! 3. **apply** — the kept triggers fire one at a time in batch order
+//!    ([`FactIndex::apply_tgd`]), with a budget check before each step.
 //!
-//! Relative to the *sequential* oblivious runner the only difference is the order
-//! in which the (identical) set of triggers fires, so terminating runs produce
-//! instances equal up to a renaming of labeled nulls with identical
-//! [`ChaseStats`]; `tests/property_tests.rs` proves this differentially over
-//! random ontology corpora.
+//! Fresh-null numbering, [`ChaseStats`], the tripped budget limit and the full
+//! [`ChaseObserver`] stream (derivation events included) are therefore
+//! byte-identical at every worker count, `workers(1)` included. The step loop
+//! of [`crate::oblivious`] fires the same set of triggers one at a time in
+//! dependency order; a terminating run of either gives the same instance up to
+//! a renaming of labeled nulls, and the differential test below pins that.
 //!
-//! ## Why only the oblivious variants batch whole rounds
+//! ## Why only the EGD-free oblivious variants batch whole rounds
 //!
 //! * The **standard chase** checks *activity* at application time: whether a
 //!   trigger fires depends on the facts added earlier in the sequence, so
@@ -40,12 +39,12 @@
 //!   order-preserving merge
 //!   ([`chase_trigger::TriggerEngine::drain_deltas_parallel`]), which is
 //!   bitwise-identical to the sequential runner.
-//! * **EGD-bearing** dependency sets fall back to the sequential runners
-//!   entirely: an EGD substitution rewrites the pending state (`h ↦ γ∘h`) and the
-//!   fired-key sets, so which triggers exist — and even how many steps fire —
-//!   depends on the interleaving of substitutions with TGD steps. Two orders of
-//!   the same round can produce non-isomorphic results, so no deterministic merge
-//!   can honour the equivalence contract; the run stays sequential instead.
+//! * **EGD-bearing** dependency sets run on the step loop of
+//!   [`crate::oblivious`] at every worker count: an EGD substitution rewrites
+//!   the pending triggers and the fired keys (`h ↦ γ∘h`), so which triggers
+//!   exist — and even how many steps fire — depends on the interleaving of
+//!   substitutions with TGD steps. The round runner does not apply that
+//!   rewrite to its pending batch, so these sets stay on the step loop.
 //! * The **core chase** already fires all triggers per round (logically); its
 //!   execution cost is dominated by core computation, whose per-null fold
 //!   search `workers > 1` parallelises deterministically
@@ -53,19 +52,20 @@
 //!   applies stay sequential.
 
 use crate::budget::{BudgetClock, ChaseBudget};
+use crate::oblivious::fired_key;
 use crate::observer::{record_step_effect, ChaseObserver};
 use crate::result::{ChaseOutcome, ChaseStats};
-use crate::step::{StepEffect, Trigger};
+use crate::step::StepEffect;
 use chase_core::{DependencySet, FactId, GroundTerm, Instance, Snapshot, Variable};
 use chase_trigger::{
-    discover_batch, discover_batch_instrumented, sort_canonical, FactIndex, SeedAtoms,
+    body_image, discover_batch, discover_batch_instrumented, FactIndex, SeedAtoms,
 };
 use std::collections::HashSet;
 use std::time::Instant;
 
-/// Runs the (semi-)oblivious chase round-parallel. Callers guarantee `sigma` has
-/// no EGDs (the dispatcher in [`crate::oblivious`] falls back to the sequential
-/// runner otherwise) and `workers >= 1`.
+/// Runs the (semi-)oblivious chase round by round. Callers guarantee `sigma` has
+/// no EGDs (the dispatcher in [`crate::oblivious`] sends EGD-bearing sets to the
+/// step loop); `workers` only sets how many pool lanes discovery uses.
 ///
 /// `key_vars` holds, per dependency, the variables of the fired-key comparison —
 /// all body variables for the oblivious chase, the frontier for the
@@ -80,35 +80,34 @@ pub(crate) fn run_oblivious_parallel(
 ) -> ChaseOutcome {
     debug_assert!(
         sigma.egd_ids().is_empty(),
-        "the round-parallel runner requires an EGD-free dependency set"
+        "the round runner requires an EGD-free dependency set"
     );
     let clock = BudgetClock::start(budget);
     let seeds = SeedAtoms::new(sigma);
     let mut index = FactIndex::new();
     // The round-0 delta is the database itself, loaded through the one shared
-    // routine ([`FactIndex::insert_database`]) the sequential engine also uses.
+    // routine ([`FactIndex::insert_database`]) the step loop also uses.
     let mut delta: Vec<FactId> = index.insert_database(database);
+    // Σ is EGD-free, so no null is ever removed: the live nulls after a round
+    // are the database's plus every fresh one.
+    let database_nulls = database.nulls().len();
     // Fired trigger keys per dependency. Σ is EGD-free, so keys are never
-    // rewritten and a plain set suffices (contrast with the sequential runner's
+    // rewritten and a plain set suffices (contrast with the step loop's
     // γ-propagation).
     let mut fired: Vec<HashSet<Vec<GroundTerm>>> = vec![HashSet::new(); sigma.len()];
-    // Every assignment ever discovered, per dependency: cross-round dedup, since
-    // later rounds re-discover joins whose facts span multiple rounds.
-    let mut seen: Vec<HashSet<Vec<(Variable, GroundTerm)>>> = vec![HashSet::new(); sigma.len()];
     let mut stats = ChaseStats::default();
     let mut round = 0usize;
-    // Phase instrumentation is opt-in (consulted once): without it the loop
-    // below performs no clock reads beyond the budget's own.
+    // Phase instrumentation and derivation events are opt-in (consulted once):
+    // without them the loop below performs no clock reads beyond the budget's
+    // own and resolves no body images.
     let phases = observer.observes_phases();
+    let derivations = observer.observes_derivations();
     loop {
-        // Discovery round: every candidate seeded from the delta, against a
-        // frozen snapshot, sharded across workers, merged in batch order.
+        // A zero-length delta discovers nothing: skip the snapshot and, in
+        // particular, emit no empty-shard `discovery_completed` event and no
+        // `merge_completed` event (discovery/merge events stay paired).
         let had_delta = !delta.is_empty();
         let mut batch = if !had_delta {
-            // A zero-length delta discovers nothing: skip the snapshot and, in
-            // particular, emit no empty-shard `discovery_completed` event (a
-            // round whose steps added no new facts would otherwise report a
-            // phantom zero-fact discovery round).
             Vec::new()
         } else {
             let snapshot = Snapshot::new(index.indexed());
@@ -122,21 +121,19 @@ pub(crate) fn run_oblivious_parallel(
             }
         };
         delta.clear();
-        // Dedup in (deterministic) batch order, then impose the canonical
-        // (DepId, body FactIds) merge order for application — keys are computed
-        // here, for the dedup survivors only.
-        // No discovery sweep ⇒ nothing to merge either: the skipped round
-        // emits neither event (discovery/merge events stay paired).
+        // Merge: the fired-key filter, in batch order (rejected candidates
+        // consume no budget).
         let merge_start = (phases && had_delta).then(Instant::now);
         let candidates = batch.len();
-        batch.retain(|t| seen[t.dep.0].insert(t.assignment.canonical()));
-        sort_canonical(sigma, index.store(), &mut batch);
+        batch.retain(|t| fired[t.dep.0].insert(fired_key(&key_vars[t.dep.0], &t.assignment)));
         if let Some(start) = merge_start {
             observer.merge_completed(candidates, batch.len(), start.elapsed());
         }
-        if batch.is_empty() {
-            // Mirror the sequential loop's cadence: the budget is checked once
-            // more before concluding that no applicable trigger remains.
+        // One budget check before each step and, when the merge kept nothing,
+        // one more before concluding that no trigger remains, as in the step
+        // loop.
+        let done = batch.is_empty();
+        for trigger in batch.into_iter().map(Some).chain(done.then_some(None)) {
             let tripped = clock.check_step(&stats, index.len());
             if phases {
                 observer.budget_checked(tripped);
@@ -148,68 +145,26 @@ pub(crate) fn run_oblivious_parallel(
                     stats,
                 };
             }
-            return ChaseOutcome::Terminated {
-                instance: index.into_instance(),
-                stats,
-            };
-        }
-        let steps_before = stats.steps;
-        for candidate in batch {
-            // Fired-key dedup at application time, exactly like the sequential
-            // runner's accept closure (rejected candidates consume no budget).
-            let key: Vec<GroundTerm> = key_vars[candidate.dep.0]
-                .iter()
-                .map(|&v| {
-                    candidate
-                        .assignment
-                        .get(v)
-                        .expect("body variables are bound")
-                })
-                .collect();
-            if !fired[candidate.dep.0].insert(key) {
-                continue;
-            }
-            let tripped = clock.check_step(&stats, index.len());
-            if phases {
-                observer.budget_checked(tripped);
-            }
-            if let Some(limit) = tripped {
-                return ChaseOutcome::BudgetExhausted {
-                    limit,
+            let Some(trigger) = trigger else {
+                return ChaseOutcome::Terminated {
                     instance: index.into_instance(),
                     stats,
                 };
-            }
-            // Apply the TGD step natively on the index (Σ is EGD-free).
-            let tgd = sigma
-                .get(candidate.dep)
-                .as_tgd()
-                .expect("EGD-free dependency set");
-            let mut extended = candidate.assignment.clone();
-            let ex = tgd.existential_variables();
-            let fresh_nulls = ex.len();
-            for v in ex {
-                let n = index.fresh_null();
-                extended.bind(v, GroundTerm::Null(n));
-            }
-            let mut added = Vec::new();
-            for atom in &tgd.head {
-                let fact = extended
-                    .apply_atom(atom)
-                    .expect("all head variables are bound after extension");
-                let (id, new) = index.insert_full(fact.clone());
-                if new {
-                    delta.push(id);
-                    added.push(fact);
-                }
-            }
-            let trigger = Trigger {
-                dep: candidate.dep,
-                assignment: candidate.assignment,
             };
+            let (dep, h) = (trigger.dep, &trigger.assignment);
+            let tgd = sigma.get(dep).as_tgd().expect("EGD-free dependency set");
+            let body = derivations.then(|| body_image(sigma, index.store(), dep, h));
+            let step = index.apply_tgd(tgd, h);
+            delta.extend(step.heads.iter().filter(|h| h.1).map(|h| h.0));
+            // Derivation events precede the step's standard events (pinned
+            // order).
+            if let Some(body) = body {
+                let heads: Vec<FactId> = step.heads.iter().map(|h| h.0).collect();
+                observer.fact_derived(dep, &fired_key(&key_vars[dep.0], h), &body, &heads);
+            }
             let effect = StepEffect::AddedFacts {
-                facts: added,
-                fresh_nulls,
+                facts: step.added,
+                fresh_nulls: step.fresh_nulls,
             };
             if record_step_effect(sigma, &trigger, &effect, &mut stats, observer).is_some() {
                 unreachable!("TGD steps cannot fail");
@@ -217,14 +172,11 @@ pub(crate) fn run_oblivious_parallel(
         }
         // Round-granular events, in the unified order pinned by
         // `tests/api_redesign.rs`: `round_completed` immediately followed by
-        // `round_nulls`, after all of the round's step/null events. A sweep in
-        // which every candidate was fired-key-rejected applied no step and
-        // reports no round — observers never see phantom no-op rounds.
-        if stats.steps > steps_before {
-            round += 1;
-            observer.round_completed(round, index.len());
-            observer.round_nulls(index.instance().nulls().len());
-        }
+        // `round_nulls`, after all of the round's step/null events. The merge
+        // kept at least one trigger, so every reported round applied a step.
+        round += 1;
+        observer.round_completed(round, index.len());
+        observer.round_nulls(database_nulls + stats.nulls_created);
     }
 }
 
@@ -272,24 +224,157 @@ mod tests {
         assert!(discoveries.iter().all(|&scanned| scanned > 0));
     }
 
+    /// The worker counts the differential tests sweep: 1, the even splits 2, 4
+    /// and 8, the uneven 3 and 7 (ragged shards), plus `CHASE_TEST_WORKERS`
+    /// if it is set.
+    fn test_worker_counts() -> Vec<usize> {
+        let mut counts = vec![1usize, 2, 3, 4, 7, 8];
+        if let Some(n) = std::env::var("CHASE_TEST_WORKERS")
+            .ok()
+            .and_then(|v| v.parse::<usize>().ok())
+        {
+            if n > 1 && !counts.contains(&n) {
+                counts.push(n);
+            }
+        }
+        counts
+    }
+
+    /// How many times each `(dependency, effect kind)` pair was observed: an
+    /// order-invariant digest of a trace. Per-step added-fact counts are left
+    /// out, because when two steps' heads overlap, which step adds the shared
+    /// fact depends on the step order.
+    fn event_multiset(
+        trace: &TraceObserver,
+    ) -> std::collections::BTreeMap<(usize, &'static str), usize> {
+        let mut out = std::collections::BTreeMap::new();
+        for (trigger, effect) in &trace.steps {
+            let kind = match effect {
+                StepEffect::AddedFacts { .. } => "tgd",
+                StepEffect::Substituted { .. } => "egd",
+                StepEffect::Failure => "failure",
+                StepEffect::NotApplicable => "noop",
+            };
+            *out.entry((trigger.dep.0, kind)).or_insert(0) += 1;
+        }
+        out
+    }
+
     #[test]
-    fn parallel_closure_matches_sequential_exactly() {
-        // Full TGDs invent no nulls, so the parallel result must be *equal* to
-        // the sequential one, not merely isomorphic.
-        let p = closure_program(12);
-        for variant in [ObliviousVariant::Oblivious, ObliviousVariant::SemiOblivious] {
-            let sequential = Chase::oblivious(&p.dependencies, variant).run(&p.database);
-            for workers in [2, 4] {
-                let parallel = Chase::oblivious(&p.dependencies, variant)
-                    .workers(workers)
-                    .run(&p.database);
-                assert!(parallel.is_terminating());
-                assert_eq!(
-                    sequential.instance().unwrap(),
-                    parallel.instance().unwrap(),
-                    "{variant:?} at {workers} workers"
+    fn round_runner_matches_the_step_loop_on_generated_corpora() {
+        // On a closure chain and on EGD-free `OntologyProfile` corpora,
+        // terminating and diverging, the round runner at every worker count
+        // fires the same trigger set as the step loop: the same outcome kind,
+        // tripped limit and step count always, and on terminating runs the
+        // same `ChaseStats`, an instance equal up to a renaming of labeled
+        // nulls (equal outright when no null is invented, as on the closure)
+        // and the same per-(dep, effect) event multiset.
+        use chase_core::isomorphic_up_to_null_renaming;
+        use chase_ontology::generator::{generate, generate_database, OntologyProfile};
+        let budget = ChaseBudget::unlimited().with_max_steps(300);
+        let closure = closure_program(12);
+        let corpora = std::iter::once((closure.dependencies, closure.database)).chain(
+            (0..200u64).map(|seed| {
+                let sigma = generate(&OntologyProfile {
+                    existential: (seed % 4) as usize + 1,
+                    full: (seed % 6) as usize + 2,
+                    egds: 0,
+                    cyclic: seed % 5 == 0,
+                    seed,
+                });
+                let db = generate_database(&sigma, 2 + (seed % 6) as usize, seed ^ 0x00c0_ffee);
+                (sigma, db)
+            }),
+        );
+        let (mut terminated, mut exhausted, mut with_nulls) = (0, 0, 0);
+        for (corpus, (sigma, db)) in corpora.enumerate() {
+            for variant in [ObliviousVariant::Oblivious, ObliviousVariant::SemiOblivious] {
+                let key_vars: Vec<Vec<Variable>> = sigma
+                    .iter()
+                    .map(|(_, dep)| crate::oblivious::key_variables(variant, dep))
+                    .collect();
+                let mut ref_trace = TraceObserver::new();
+                let reference = crate::oblivious::run_step_loop(
+                    &sigma,
+                    &key_vars,
+                    &budget,
+                    &db,
+                    &mut ref_trace,
                 );
-                assert_eq!(sequential.stats(), parallel.stats());
+                terminated += usize::from(reference.is_terminating());
+                exhausted += usize::from(reference.is_budget_exhausted());
+                with_nulls += usize::from(reference.stats().nulls_created > 0);
+                for n in test_worker_counts() {
+                    let mut trace = TraceObserver::new();
+                    let out = Chase::oblivious(&sigma, variant)
+                        .workers(n)
+                        .with_budget(budget)
+                        .run_observed(&db, &mut trace);
+                    let at = format!("{variant:?} at {n} workers (corpus {corpus})");
+                    assert_eq!(
+                        std::mem::discriminant(&reference),
+                        std::mem::discriminant(&out),
+                        "outcome kind diverged: {at}"
+                    );
+                    assert_eq!(reference.exhausted_limit(), out.exhausted_limit(), "{at}");
+                    assert_eq!(reference.stats().steps, out.stats().steps, "{at}");
+                    if reference.is_terminating() {
+                        assert_eq!(reference.stats(), out.stats(), "stats diverged: {at}");
+                        let (a, b) = (reference.instance().unwrap(), out.instance().unwrap());
+                        assert!(isomorphic_up_to_null_renaming(a, b), "not isomorphic: {at}");
+                        if a.nulls().is_empty() {
+                            assert_eq!(a, b, "{at}");
+                        }
+                        assert_eq!(event_multiset(&ref_trace), event_multiset(&trace), "{at}");
+                    }
+                }
+            }
+        }
+        // The corpora cover both outcome kinds and existential rules.
+        assert!(terminated > 0 && exhausted > 0 && with_nulls > 0);
+    }
+
+    #[test]
+    fn round_null_counts_equal_the_live_nulls_of_each_round() {
+        // The round runner counts live nulls as the database's plus every
+        // fresh one. Check each emitted count against the instance rebuilt
+        // from the step events (Σ is EGD-free, so facts are only ever added),
+        // on a database that carries a null of its own.
+        use crate::observer::{ChaseEvent, EventObserver};
+        use chase_ontology::generator::{generate, generate_database, OntologyProfile};
+        let sigma = generate(&OntologyProfile {
+            existential: 4,
+            full: 6,
+            egds: 0,
+            cyclic: true,
+            seed: 5,
+        });
+        let mut db = generate_database(&sigma, 8, 5);
+        let mut with_null = db.sorted_facts()[0].clone();
+        with_null.terms[0] = GroundTerm::Null(chase_core::NullValue(77));
+        db.insert(with_null);
+        for variant in [ObliviousVariant::Oblivious, ObliviousVariant::SemiOblivious] {
+            for workers in [1, 4] {
+                let mut live = db.clone();
+                let mut rounds = 0;
+                let out = Chase::oblivious(&sigma, variant)
+                    .workers(workers)
+                    .with_budget(ChaseBudget::unlimited().with_max_steps(400))
+                    .run_observed(
+                        &db,
+                        &mut EventObserver(|event| match event {
+                            ChaseEvent::StepApplied {
+                                effect: StepEffect::AddedFacts { facts, .. },
+                                ..
+                            } => live.extend(facts),
+                            ChaseEvent::RoundNulls { nulls } => {
+                                rounds += 1;
+                                assert_eq!(nulls, live.nulls().len(), "{variant:?} round {rounds}");
+                            }
+                            _ => {}
+                        }),
+                    );
+                assert!(out.stats().nulls_created > 0 && rounds >= 2, "{variant:?}");
             }
         }
     }
@@ -321,51 +406,18 @@ mod tests {
                 trace.round_null_counts,
             )
         };
-        let two = run(2);
-        for workers in [3, 4, 8] {
-            assert_eq!(two, run(workers), "worker count {workers} diverged");
+        let one = run(1);
+        // The chain of r3 nulls diverges: every run trips the same step limit.
+        assert_eq!(one.2, Some(crate::BudgetLimit::Steps));
+        for workers in [2, 3, 4, 8] {
+            assert_eq!(one, run(workers), "worker count {workers} diverged");
         }
     }
 
     #[test]
-    fn budget_trip_is_deterministic_across_worker_counts() {
-        let p = parse_program(
-            r#"
-            r: C(?x) -> exists ?y: R(?x, ?y).
-            c: R(?x, ?y) -> C(?y).
-            C(a).
-            "#,
-        )
-        .unwrap();
-        let budget = ChaseBudget::unlimited().with_max_steps(37);
-        let sequential = Chase::semi_oblivious(&p.dependencies)
-            .with_budget(budget)
-            .run(&p.database);
-        assert!(sequential.is_budget_exhausted());
-        let base = Chase::semi_oblivious(&p.dependencies)
-            .workers(2)
-            .with_budget(budget)
-            .run(&p.database);
-        assert_eq!(base.exhausted_limit(), sequential.exhausted_limit());
-        assert_eq!(base.stats().steps, sequential.stats().steps);
-        for workers in [4, 8] {
-            let out = Chase::semi_oblivious(&p.dependencies)
-                .workers(workers)
-                .with_budget(budget)
-                .run(&p.database);
-            assert_eq!(out.exhausted_limit(), base.exhausted_limit());
-            assert_eq!(out.stats(), base.stats());
-            assert_eq!(
-                out.instance().unwrap().sorted_facts(),
-                base.instance().unwrap().sorted_facts()
-            );
-        }
-    }
-
-    #[test]
-    fn egd_bearing_sets_fall_back_to_the_sequential_runner() {
-        // With an EGD in Σ, `workers(8)` must behave exactly like the sequential
-        // session (the documented fallback), not just isomorphically.
+    fn egd_bearing_sets_run_on_the_step_loop_at_every_worker_count() {
+        // With an EGD in Σ, `workers(8)` must behave exactly like `workers(1)`:
+        // both run the step loop (the documented fallback).
         let p = parse_program(
             r#"
             r1: Emp(?x) -> exists ?d: Works(?x, ?d).
@@ -381,17 +433,5 @@ mod tests {
                 .run(&p.database);
             assert_eq!(sequential, parallel, "{variant:?}");
         }
-    }
-
-    #[test]
-    fn semi_oblivious_example6_parallel() {
-        // Example 6: one step, the second trigger shares the frontier key.
-        let p = parse_program("r: E(?x, ?y) -> exists ?z: E(?x, ?z). E(a, b).").unwrap();
-        let out = Chase::semi_oblivious(&p.dependencies)
-            .workers(4)
-            .run(&p.database);
-        assert!(out.is_terminating());
-        assert_eq!(out.stats().steps, 1);
-        assert_eq!(out.instance().unwrap().len(), 2);
     }
 }

@@ -124,29 +124,28 @@ impl<'a> Chase<'a> {
     /// rounds, runs and sessions; repeated runs on one session are
     /// byte-identical (pinned by the pool-reuse suite).
     ///
-    /// All parallel phases are read-only against a frozen snapshot, with
-    /// deterministic ordering re-imposed before any mutation, so a session is
-    /// **deterministic at every worker count**: two runs with the same inputs
-    /// and different `n > 1` produce byte-identical instances, statistics,
-    /// observer streams and tripped budget limits. Per variant:
+    /// All parallel phases are read-only against a frozen snapshot, and their
+    /// results are merged in an order that does not depend on the worker
+    /// count, so a session is **byte-identical at every worker count**,
+    /// `workers(1)` included: same instance, statistics, observer stream and
+    /// tripped budget limit. Per variant:
     ///
-    /// * the **(semi-)oblivious variants** batch whole rounds — sharded
-    ///   discovery, triggers sorted by `(DepId, body FactIds)` before a
-    ///   sequential apply;
+    /// * the **(semi-)oblivious variants** with an EGD-free Σ run one round
+    ///   runner at every worker count: sharded discovery per round, the
+    ///   fired-key filter in discovery order, then a sequential apply;
     /// * the **standard chase** applies one trigger at a time in the exact
     ///   sequential order and shards only each discovery drain
-    ///   (order-preserving merge); bitwise-identical to `workers(1)`, phase
-    ///   events included;
+    ///   (order-preserving merge);
     /// * the **core chase** parallelises its dominant cost, the per-null
     ///   endomorphism fold search of each round's core computation, with
-    ///   first-fold selection in ascending null order (bitwise-identical
-    ///   results).
+    ///   first-fold selection in ascending null order.
     ///
-    /// Documented sequential fallbacks (the setting is then ignored):
+    /// The setting is ignored (the run is sequential) for:
     ///
-    /// * **EGD-bearing** dependency sets — substitutions rewrite pending
-    ///   triggers and fired keys in sequence order, so the result would depend
-    ///   on the interleaving (see [`crate::parallel`] for the full argument);
+    /// * **EGD-bearing** sets of the standard and (semi-)oblivious chase —
+    ///   substitutions rewrite pending triggers and fired keys in sequence
+    ///   order, so the (semi-)oblivious ones run on the step loop (see
+    ///   [`crate::parallel`] for the full argument);
     /// * [`TriggerDiscovery::NaiveRescan`], the single-threaded reference
     ///   baseline.
     ///
@@ -165,10 +164,8 @@ impl<'a> Chase<'a> {
     /// let parallel = Chase::semi_oblivious(&p.dependencies)
     ///     .workers(4)
     ///     .run(&p.database);
-    /// // Full TGDs invent no nulls, so the results are outright equal; with
-    /// // existential rules they are equal up to a renaming of labeled nulls.
-    /// assert_eq!(sequential.instance().unwrap(), parallel.instance().unwrap());
-    /// assert_eq!(sequential.stats(), parallel.stats());
+    /// // One round runner at every worker count: the runs are equal.
+    /// assert_eq!(sequential, parallel);
     /// ```
     pub fn workers(mut self, n: usize) -> Self {
         self.workers = n.max(1);
@@ -235,9 +232,9 @@ impl<'a> Chase<'a> {
     /// supports. The standard chase (non-monotone activity check) and the core
     /// chase (folds facts away) are rejected with
     /// [`MaterializeError::UnsupportedVariant`]; failing and budget-exhausted
-    /// runs are rejected too, since there is no model to maintain. The run is
-    /// forced sequential — derivation logs are defined per applied step — which
-    /// for EGD-free sets changes only wall-clock, never the outcome.
+    /// runs are rejected too, since there is no model to maintain. The run
+    /// honours [`Chase::workers`]: every runner logs its own derivations, so
+    /// the log is byte-identical at every worker count.
     pub fn materialize(&self, database: &Instance) -> Result<MaterializedRun, MaterializeError> {
         let variant = match self.variant {
             Variant::Oblivious(v) => v,
@@ -245,9 +242,7 @@ impl<'a> Chase<'a> {
             Variant::Core => return Err(MaterializeError::UnsupportedVariant("core")),
         };
         let mut recorder = DerivationRecorder::default();
-        let mut sequential = self.clone();
-        sequential.workers = 1;
-        let outcome = sequential.run_observed(database, &mut recorder);
+        let outcome = self.run_observed(database, &mut recorder);
         match outcome {
             ChaseOutcome::Terminated { .. } => Ok(MaterializedRun {
                 variant,

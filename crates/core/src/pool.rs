@@ -12,8 +12,8 @@
 //!
 //! - One global [`WorkerPool`] (see `global`) shared by trigger discovery
 //!   (`chase_trigger::parallel`, which also backs the standard chase's
-//!   sharded drains), the round-parallel oblivious runners
-//!   (`chase_engine::parallel`), and `core_of`'s fold search.
+//!   sharded drains and the round runner of the EGD-free oblivious chases,
+//!   `chase_engine::parallel`), and `core_of`'s fold search.
 //!   Sharing one pool keeps the thread count bounded by the largest `workers(n)`
 //!   ever requested, not by the number of subsystems.
 //! - **Channel protocol:** submitters push type-erased jobs into a single
@@ -37,7 +37,7 @@
 //! [`run_jobs`](WorkerPool::run_jobs) returns results in
 //! **submission order** regardless of which thread ran which job or in what
 //! order they finished. Every deterministic-merge argument made by the callers
-//! (canonical trigger merge, shard-order concatenation, first-success-in-wave
+//! (shard-order concatenation of discovered triggers, first-success-in-wave
 //! fold selection) only needs that positional guarantee.
 //!
 //! # Lifetime safety

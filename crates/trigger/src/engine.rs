@@ -22,7 +22,7 @@
 
 use crate::delta::DeltaQueue;
 use crate::index::FactIndex;
-use crate::parallel::{discover_batch, SeedAtoms};
+use crate::parallel::{body_image, discover_batch, SeedAtoms};
 use crate::search::{exists_indexed_extension, for_each_seeded_id};
 use chase_core::substitution::NullSubstitution;
 use chase_core::{
@@ -393,15 +393,14 @@ impl<'a> TriggerEngine<'a> {
     /// [`StepLog`] for the EGD id-space caveat); the effect and every state
     /// change are identical to the unlogged call.
     pub fn apply_trigger_logged(&mut self, dep_id: DepId, h: &Assignment) -> (StepEffect, StepLog) {
-        let mut log = StepLog::default();
-        for atom in self.sigma.get(dep_id).body() {
-            let fact = h.apply_atom(atom).expect("body variables are bound");
-            let id = self
-                .index
-                .id_of(&fact)
-                .expect("a trigger's body maps into the live instance");
-            log.body.push(id);
-        }
+        let mut log = StepLog {
+            body: body_image(self.sigma, self.index.store(), dep_id, h),
+            ..StepLog::default()
+        };
+        debug_assert!(
+            log.body.iter().all(|&id| self.instance().contains_id(id)),
+            "a trigger's body maps into the live instance"
+        );
         let effect = self.apply_trigger_inner(dep_id, h, Some(&mut log));
         (effect, log)
     }
@@ -410,34 +409,20 @@ impl<'a> TriggerEngine<'a> {
         &mut self,
         dep_id: DepId,
         h: &Assignment,
-        mut log: Option<&mut StepLog>,
+        log: Option<&mut StepLog>,
     ) -> StepEffect {
         match self.sigma.get(dep_id) {
             Dependency::Tgd(tgd) => {
-                let mut extended = h.clone();
-                let ex = tgd.existential_variables();
-                let fresh_nulls = ex.len();
-                for v in ex {
-                    let n = self.index.fresh_null();
-                    extended.bind(v, GroundTerm::Null(n));
-                }
-                let mut added = Vec::new();
-                for atom in &tgd.head {
-                    let fact = extended
-                        .apply_atom(atom)
-                        .expect("all head variables are bound after extension");
-                    let (id, new) = self.index.insert_full(fact.clone());
+                let step = self.index.apply_tgd(tgd, h);
+                for &(id, new) in &step.heads {
                     self.record_insert(id, new);
-                    if let Some(log) = log.as_deref_mut() {
-                        log.heads.push(id);
-                    }
-                    if new {
-                        added.push(fact);
-                    }
+                }
+                if let Some(log) = log {
+                    log.heads = step.heads.iter().map(|&(id, _)| id).collect();
                 }
                 StepEffect::AddedFacts {
-                    facts: added,
-                    fresh_nulls,
+                    facts: step.added,
+                    fresh_nulls: step.fresh_nulls,
                 }
             }
             Dependency::Egd(egd) => {

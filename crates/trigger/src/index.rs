@@ -11,8 +11,20 @@
 use chase_core::substitution::NullSubstitution;
 use chase_core::Assignment;
 use chase_core::{
-    Atom, Fact, FactId, FactStore, GroundTerm, IndexedInstance, Instance, NullValue, Predicate,
+    Atom, Fact, FactId, FactStore, GroundTerm, IndexedInstance, Instance, NullValue, Predicate, Tgd,
 };
+
+/// What one TGD step did to a [`FactIndex`] ([`FactIndex::apply_tgd`]).
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct TgdStep {
+    /// The head facts this step inserted, in head-atom order.
+    pub added: Vec<Fact>,
+    /// The number of fresh nulls invented, one per existential variable.
+    pub fresh_nulls: usize,
+    /// Every head fact's id in head-atom order, pre-existing facts included,
+    /// each flagged `true` iff this step inserted it.
+    pub heads: Vec<(FactId, bool)>,
+}
 
 /// Indexed fact storage for the trigger engine.
 ///
@@ -132,6 +144,36 @@ impl FactIndex {
     /// Allocates a labeled null distinct from every null in the stored facts.
     pub fn fresh_null(&mut self) -> NullValue {
         self.indexed.fresh_null()
+    }
+
+    /// Applies the TGD step for `(tgd, h)` (Definition 1): binds every
+    /// existential variable to a fresh null, in
+    /// [`Tgd::existential_variables`] order, then inserts the image of each
+    /// head atom. The one TGD-step routine of the sequential engine and the
+    /// round runner, so their fresh-null numbering cannot drift.
+    pub fn apply_tgd(&mut self, tgd: &Tgd, h: &Assignment) -> TgdStep {
+        let mut extended = h.clone();
+        let ex = tgd.existential_variables();
+        let fresh_nulls = ex.len();
+        for v in ex {
+            let n = self.fresh_null();
+            extended.bind(v, GroundTerm::Null(n));
+        }
+        let mut step = TgdStep {
+            fresh_nulls,
+            ..TgdStep::default()
+        };
+        for atom in &tgd.head {
+            let fact = extended
+                .apply_atom(atom)
+                .expect("all head variables are bound after extension");
+            let (id, new) = self.insert_parts(fact.predicate, &fact.terms);
+            step.heads.push((id, new));
+            if new {
+                step.added.push(fact);
+            }
+        }
+        step
     }
 
     /// Applies an EGD substitution in place, returning the rewritten `(old, new)`

@@ -52,16 +52,13 @@ pub mod search;
 
 pub use delta::DeltaQueue;
 pub use engine::{EngineStats, StepEffect, StepLog, Trigger, TriggerEngine};
-pub use index::FactIndex;
-pub use parallel::{
-    body_image, discover_batch, discover_batch_instrumented, sort_canonical, DiscoveredTrigger,
-    SeedAtoms,
-};
+pub use index::{FactIndex, TgdStep};
+pub use parallel::{body_image, discover_batch, discover_batch_instrumented, SeedAtoms};
 
 /// Convenience re-exports.
 pub mod prelude {
     pub use crate::delta::DeltaQueue;
     pub use crate::engine::{EngineStats, StepEffect, StepLog, Trigger, TriggerEngine};
     pub use crate::index::FactIndex;
-    pub use crate::parallel::{discover_batch, DiscoveredTrigger, SeedAtoms};
+    pub use crate::parallel::{discover_batch, SeedAtoms};
 }

@@ -15,17 +15,16 @@
 //!    [`Snapshot`], collecting the candidate triggers its seeds discover;
 //! 3. the per-worker results are concatenated **in chunk order**, which
 //!    reconstructs exactly the order a single-threaded drain would have produced
-//!    — so the merged candidate list is independent of the worker count, and a
-//!    caller that preserves this order (the standard chase) behaves bitwise
-//!    identically to the sequential engine.
+//!    — so the merged candidate list is independent of the worker count.
 //!
-//! Round-batching callers (the oblivious runners in `chase_engine`) instead
-//! re-sort the merged list with [`sort_canonical`] — `(DepId, body FactIds)`
-//! keys, computed lazily for the candidates that survive dedup — before applying
-//! a whole round, which pins fresh-null numbering and observer/budget accounting
-//! to a worker-count-independent order. See the "Parallel execution" section of
+//! Both callers keep that order, so neither depends on the worker count: the
+//! standard chase's drains (`TriggerEngine::drain_deltas_parallel`) queue the
+//! candidates as a sequential drain would, and the round runner of the EGD-free
+//! (semi-)oblivious chases in `chase_engine` applies them in this order after
+//! its fired-key filter. See the "Parallel execution" section of
 //! `crates/README.md` for the determinism contract.
 
+use crate::engine::Trigger;
 use chase_core::pool::{self, ScopedJob};
 use chase_core::snapshot::{DiscoveryStats, ShardStats, Snapshot};
 use chase_core::{Assignment, DepId, DependencySet, FactId, FactStore, Predicate};
@@ -74,68 +73,31 @@ impl SeedAtoms {
     }
 }
 
-/// A candidate trigger discovered against a snapshot.
-///
-/// The canonical `(DepId, body FactIds)` sort key of round-batched application is
-/// *not* stored here: the per-step standard-chase drain never needs it, and the
-/// round-batching oblivious runner needs it only for candidates that survive its
-/// seen-dedup — [`sort_canonical`] computes keys lazily at that point.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DiscoveredTrigger {
-    /// The dependency whose body matched.
-    pub dep: DepId,
-    /// The homomorphism from the body into the snapshot.
-    pub assignment: Assignment,
-}
-
-/// Computes a trigger's canonical key: `h(body)` as one interned [`FactId`] per
-/// body atom, in body-atom order. Distinct triggers of the same dependency
-/// always differ here (the per-atom images determine every binding), so
-/// `(dep, body_image)` is a total order on a round's candidates. Every body atom
-/// is ground under a discovered assignment and maps to a live fact of the store,
-/// so both lookups are infallible.
-pub fn body_image(sigma: &DependencySet, store: &FactStore, t: &DiscoveredTrigger) -> Vec<FactId> {
+/// The body image of the trigger `(dep, h)`: `h(body)` as one interned
+/// [`FactId`] per body atom, in body-atom order, resolved through one reused
+/// term buffer. Every body atom is ground under a trigger's assignment and
+/// maps to a fact of the store, so the lookup is infallible.
+pub fn body_image(
+    sigma: &DependencySet,
+    store: &FactStore,
+    dep: DepId,
+    h: &Assignment,
+) -> Vec<FactId> {
     let mut terms = Vec::new();
     sigma
-        .get(t.dep)
+        .get(dep)
         .body()
         .iter()
         .map(|atom| {
             terms.clear();
             for term in &atom.terms {
-                terms.push(
-                    t.assignment
-                        .apply_term(term)
-                        .expect("body variables are bound"),
-                );
+                terms.push(h.apply_term(term).expect("body variables are bound"));
             }
             store
                 .lookup(atom.predicate, &terms)
-                .expect("a discovered trigger maps its body into the store")
+                .expect("a trigger maps its body into the store")
         })
         .collect()
-}
-
-/// Sorts a candidate batch into the canonical `(DepId, body FactIds)` merge
-/// order of round-batched application (keys computed once per candidate via
-/// [`body_image`]). The order is total on any deduped candidate set — equal keys
-/// imply equal assignments; the trailing canonicalised-assignment comparison is
-/// belt-and-braces, not a tiebreak that can fire on distinct triggers.
-pub fn sort_canonical(
-    sigma: &DependencySet,
-    store: &FactStore,
-    batch: &mut Vec<DiscoveredTrigger>,
-) {
-    let mut keyed: Vec<(Vec<FactId>, DiscoveredTrigger)> = std::mem::take(batch)
-        .into_iter()
-        .map(|t| (body_image(sigma, store, &t), t))
-        .collect();
-    keyed.sort_by(|(ka, a), (kb, b)| {
-        (a.dep, ka)
-            .cmp(&(b.dep, kb))
-            .then_with(|| a.assignment.canonical().cmp(&b.assignment.canonical()))
-    });
-    batch.extend(keyed.into_iter().map(|(_, t)| t));
 }
 
 /// Discovers every candidate trigger seeded from `fact`, in the deterministic
@@ -146,7 +108,7 @@ fn discover_from(
     seeds: &SeedAtoms,
     snapshot: &Snapshot<'_>,
     fact: FactId,
-    out: &mut Vec<DiscoveredTrigger>,
+    out: &mut Vec<Trigger>,
 ) {
     let predicate = snapshot.predicate_of(fact);
     for &(dep, seed_index) in seeds.seeds_for(predicate) {
@@ -154,7 +116,7 @@ fn discover_from(
         snapshot
             .search(body)
             .for_each_seeded_id::<()>(seed_index, fact, &mut |h| {
-                out.push(DiscoveredTrigger {
+                out.push(Trigger {
                     dep,
                     assignment: h.clone(),
                 });
@@ -169,15 +131,16 @@ fn discover_from(
 /// The returned list is in **batch order** regardless of the worker count: worker
 /// `w` processes the `w`-th contiguous chunk (a disjoint `FactId` range when the
 /// batch is in insertion order) and the chunks are concatenated in order. No
-/// dedup is performed — callers dedup against their own seen-set so that
-/// cross-shard duplicates resolve exactly as in a sequential drain.
+/// dedup is performed — callers dedup in this order (a seen-set or a
+/// fired-key filter), so cross-shard duplicates resolve exactly as in a
+/// sequential drain.
 pub fn discover_batch(
     sigma: &DependencySet,
     seeds: &SeedAtoms,
     snapshot: Snapshot<'_>,
     batch: &[FactId],
     workers: usize,
-) -> Vec<DiscoveredTrigger> {
+) -> Vec<Trigger> {
     discover_batch_inner(sigma, seeds, snapshot, batch, workers, None)
 }
 
@@ -195,7 +158,7 @@ pub fn discover_batch_instrumented(
     snapshot: Snapshot<'_>,
     batch: &[FactId],
     workers: usize,
-) -> (Vec<DiscoveredTrigger>, DiscoveryStats) {
+) -> (Vec<Trigger>, DiscoveryStats) {
     let started = Instant::now();
     let mut stats = DiscoveryStats::default();
     let merged = discover_batch_inner(sigma, seeds, snapshot, batch, workers, Some(&mut stats));
@@ -210,7 +173,7 @@ fn discover_batch_inner(
     batch: &[FactId],
     workers: usize,
     mut stats: Option<&mut DiscoveryStats>,
-) -> Vec<DiscoveredTrigger> {
+) -> Vec<Trigger> {
     // `workers(0)` is defined to mean sequential execution, the same as 1 —
     // normalized here (not left to the `<= 1` guard) so the invariant holds
     // even if the guard's threshold ever changes.
@@ -233,7 +196,7 @@ fn discover_batch_inner(
     }
     // What one shard job hands back: its discoveries, its actual length
     // (`facts_scanned`), and its wall-clock when instrumented.
-    type ShardResult = (Vec<DiscoveredTrigger>, usize, Option<Duration>);
+    type ShardResult = (Vec<Trigger>, usize, Option<Duration>);
     let chunk = batch.len().div_ceil(workers);
     let instrument = stats.is_some();
     let jobs: Vec<ScopedJob<'_, ShardResult>> = batch
@@ -289,7 +252,7 @@ mod tests {
         index: &FactIndex,
         batch: &[FactId],
         workers: usize,
-    ) -> Vec<DiscoveredTrigger> {
+    ) -> Vec<Trigger> {
         let seeds = SeedAtoms::new(sigma);
         discover_batch(
             sigma,
@@ -340,51 +303,6 @@ mod tests {
         }
     }
 
-    /// Satellite: pins the canonical `(DepId, body FactIds)` merge order on a
-    /// handcrafted instance with colliding triggers. The interning order is
-    /// deliberately anti-alphabetical, so the test fails if the sort ever falls
-    /// back to comparing terms instead of ids.
-    #[test]
-    fn canonical_merge_order_is_dep_then_body_fact_ids() {
-        let sigma = parse_dependencies(
-            r#"
-            r1: E(?x, ?y) -> P(?x).
-            r2: E(?x, ?y), E(?y, ?z) -> Q(?x).
-            "#,
-        )
-        .unwrap();
-        let mut index = FactIndex::new();
-        // id0 = E(z, z) sorts *after* id1 = E(a, z) by term order, but *before* it
-        // by FactId; E(z, a) closes two 2-hop paths so r2 gets colliding triggers.
-        let (id0, _) = index.insert_full(edge("z", "z"));
-        let (id1, _) = index.insert_full(edge("a", "z"));
-        let (id2, _) = index.insert_full(edge("z", "a"));
-        let mut found = discover_all(&sigma, &index, &[id0, id1, id2], 1);
-        let mut seen = std::collections::HashSet::new();
-        found.retain(|t| seen.insert((t.dep, t.assignment.canonical())));
-        sort_canonical(&sigma, index.store(), &mut found);
-        let keys: Vec<(DepId, Vec<FactId>)> = found
-            .iter()
-            .map(|t| (t.dep, body_image(&sigma, index.store(), t)))
-            .collect();
-        assert_eq!(
-            keys,
-            vec![
-                // r1 first (DepId-major), its triggers in FactId order — E(z, z)
-                // before E(a, z) despite "a" < "z".
-                (DepId(0), vec![id0]),
-                (DepId(0), vec![id1]),
-                (DepId(0), vec![id2]),
-                // r2 next: body images compared lexicographically by FactId.
-                (DepId(1), vec![id0, id0]), // E(z,z), E(z,z)
-                (DepId(1), vec![id0, id2]), // E(z,z), E(z,a)
-                (DepId(1), vec![id1, id0]), // E(a,z), E(z,z)
-                (DepId(1), vec![id1, id2]), // E(a,z), E(z,a)
-                (DepId(1), vec![id2, id1]), // E(z,a), E(a,z)
-            ]
-        );
-    }
-
     #[test]
     fn instrumented_discovery_matches_and_accounts_for_every_seed() {
         let sigma = parse_dependencies("t: E(?x, ?y), E(?y, ?z) -> E(?x, ?z).").unwrap();
@@ -426,6 +344,9 @@ mod tests {
         let batch: Vec<FactId> = vec![FactId(0), id_loop];
         let found = discover_all(&sigma, &index, &batch, 1);
         assert_eq!(found.len(), 1);
-        assert_eq!(body_image(&sigma, index.store(), &found[0]), vec![id_loop]);
+        assert_eq!(
+            body_image(&sigma, index.store(), found[0].dep, &found[0].assignment),
+            vec![id_loop]
+        );
     }
 }

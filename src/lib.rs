@@ -17,7 +17,8 @@
 //!   [`Chase`](chase_engine::Chase) session builder: standard, oblivious,
 //!   semi-oblivious and core variants under one
 //!   [`ChaseBudget`](chase_engine::ChaseBudget) / [`ChaseObserver`](chase_engine::ChaseObserver)
-//!   vocabulary and an opt-in round-parallel execution mode
+//!   vocabulary and an opt-in parallel execution mode that gives the same
+//!   bytes at every worker count
 //!   ([`Chase::workers`](chase_engine::Chase::workers)), plus core computation,
 //!   universal models and certain answers;
 //! * [`criteria`](chase_criteria) — baseline termination criteria (weak acyclicity,

@@ -371,17 +371,42 @@ fn round_events_are_ordered_consistently_across_runners() {
         })
         .collect();
     assert_eq!(round_numbers, (1..=rounds).collect::<Vec<_>>());
-    // The sequential step-based runners emit no round events at all.
-    let mut tagged = TaggedObserver::default();
-    Chase::semi_oblivious(&q.dependencies).run_observed(&q.database, &mut tagged);
-    assert!(
-        tagged
-            .0
-            .iter()
-            .all(|e| !matches!(e, Ev::Round(_) | Ev::RoundNulls(_))),
-        "sequential step-based runners must not report rounds: {:?}",
-        tagged.0
+    // An EGD-free set runs the round runner at every worker count: a
+    // `workers(1)` run emits the very same stream, rounds included. The
+    // step-at-a-time runners emit no round events at all: an EGD-bearing
+    // oblivious run (the step loop) and the standard chase, at any count.
+    let mut one = TaggedObserver::default();
+    Chase::semi_oblivious(&q.dependencies).run_observed(&q.database, &mut one);
+    assert_eq!(
+        one.0, stream,
+        "workers(1) must report the rounds of workers(4)"
     );
+    let e = parse_program(
+        "r1: A(?x) -> exists ?y: R(?x, ?y). k: R(?x, ?y), R(?x, ?z) -> ?y = ?z. A(a). R(a, c).",
+    )
+    .unwrap();
+    let step_runs = [
+        Chase::oblivious(&e.dependencies, ObliviousVariant::Oblivious),
+        Chase::standard(&q.dependencies),
+    ];
+    for (session, db) in step_runs.into_iter().zip([&e.database, &q.database]) {
+        for workers in [1, 4] {
+            let mut tagged = TaggedObserver::default();
+            let out = session
+                .clone()
+                .workers(workers)
+                .run_observed(db, &mut tagged);
+            assert!(out.stats().steps > 0);
+            assert!(
+                tagged
+                    .0
+                    .iter()
+                    .all(|e| !matches!(e, Ev::Round(_) | Ev::RoundNulls(_))),
+                "step-at-a-time runs must not report rounds: {:?}",
+                tagged.0
+            );
+        }
+    }
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //! every update batch, the maintained instance must be isomorphic up to null
 //! renaming to a from-scratch (semi-)oblivious chase of the maintained base —
 //! at worker count 1 and at 4 (and `CHASE_TEST_WORKERS`, if set), so the
-//! round-parallel runner pins the same semantics.
+//! round runner's pool lanes are exercised too.
 //!
 //! Streams come from `chase_ontology::update_stream` (seeded, consistent by
 //! construction) over the ontology generator's profiles and the atlas

@@ -265,10 +265,10 @@ fn run_report_carries_analyzer_verdicts_end_to_end() {
 // Phase-event ordering on the parallel path
 // ---------------------------------------------------------------------------------
 
-/// On the round-parallel path each round's opt-in events arrive in the pinned
-/// order discovery → merge → steps → round_completed → round_nulls, with
-/// budget checks interleaved anywhere; and the existing (always-on) event
-/// contract is unchanged.
+/// On the round runner each round's opt-in events arrive in the pinned order
+/// discovery → merge (the fired-key filter) → steps → round_completed →
+/// round_nulls, with budget checks interleaved anywhere; and the existing
+/// (always-on) event contract is unchanged.
 #[test]
 fn parallel_phase_events_are_ordered_within_each_round() {
     // A chain long enough that discovery batches clear the parallel threshold
@@ -302,11 +302,9 @@ fn parallel_phase_events_are_ordered_within_each_round() {
     for event in &events {
         match event {
             ChaseEvent::DiscoveryCompleted { stats } => {
-                // Discovery opens a sweep: directly after the previous round's
-                // `round_nulls`, or after an apply stage in which every
-                // candidate was fired-key-rejected (such sweeps apply no step
-                // and report no round). Never between a merge and its steps.
-                assert_ne!(stage, Stage::Merged, "discovery cannot pre-empt a merge");
+                // Discovery opens a round, directly after the previous
+                // round's `round_nulls`; never between a merge and its steps.
+                assert_eq!(stage, Stage::Discovery, "discovery opens a round");
                 assert!(!stats.shards.is_empty());
                 discovery_workers.push(stats.shards.len());
                 stage = Stage::Merged;

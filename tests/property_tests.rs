@@ -12,8 +12,8 @@ use chase_core::{
     Variable,
 };
 use chase_engine::{
-    core_of, is_core, BudgetLimit, Chase, ChaseBudget, ChaseEvent, ChaseOutcome, EventObserver,
-    ObliviousVariant, StepOrder, TraceObserver,
+    core_of, is_core, BudgetLimit, Chase, ChaseBudget, ChaseEvent, EventObserver, ObliviousVariant,
+    StepOrder, TraceObserver,
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -193,26 +193,6 @@ fn phase_stream(session: &Chase<'_>, db: &Instance, workers: usize) -> Vec<Phase
 // The null-bijection checker lives in chase_core (`isomorphic_up_to_null_renaming`)
 // since the incremental-maintenance work: the differential suites there and here
 // share one implementation.
-
-/// Order-invariant digest of a trace: how many times each `(dependency, effect
-/// kind)` pair was observed. (Per-step added-fact counts are deliberately *not*
-/// part of the key: when two steps' head facts overlap, the split of "who added
-/// the shared fact" depends on the step order, while the pair counts do not.)
-fn event_multiset(
-    trace: &TraceObserver,
-) -> std::collections::BTreeMap<(usize, &'static str), usize> {
-    let mut out = std::collections::BTreeMap::new();
-    for (trigger, effect) in &trace.steps {
-        let kind = match effect {
-            chase_engine::StepEffect::AddedFacts { .. } => "tgd",
-            chase_engine::StepEffect::Substituted { .. } => "egd",
-            chase_engine::StepEffect::Failure => "failure",
-            chase_engine::StepEffect::NotApplicable => "noop",
-        };
-        *out.entry((trigger.dep.0, kind)).or_insert(0) += 1;
-    }
-    out
-}
 
 #[test]
 fn null_renaming_check_accepts_renamings_and_rejects_collapses() {
@@ -714,24 +694,18 @@ proptest! {
         );
     }
 
-    /// Differential test of the round-parallel chase runner (satellite of the
-    /// parallel-execution tentpole): on random `OntologyProfile` corpora — with
-    /// and without EGDs, terminating and diverging — the parallel runner at 2,
-    /// 3, 4, 7 and 8 workers (plus `CHASE_TEST_WORKERS`, if set) agrees with
-    /// the sequential runner:
+    /// Worker-count contract of every session: on random `OntologyProfile`
+    /// corpora — with and without EGDs, terminating and diverging — a run at 2,
+    /// 3, 4, 7 and 8 workers (plus `CHASE_TEST_WORKERS`, if set) is
+    /// *byte-identical* to the `workers(1)` run, for the standard, oblivious
+    /// and semi-oblivious chase alike: the same outcome (instance, stats,
+    /// tripped limit), the same full observer trace (steps, nulls, collapses,
+    /// rounds and per-round null counts) and the same phase-event stream
+    /// (discovery seeds scanned and triggers found, budget checks).
     ///
-    /// * the **standard** chase is *bitwise identical* (parallel discovery merges
-    ///   order-preservingly, so the very same trigger sequence fires), down to
-    ///   its phase-event stream: one discovery event per trigger search with
-    ///   the same seeds scanned and triggers found, and the same budget checks;
-    /// * the **(semi-)oblivious** chases produce instances isomorphic to the
-    ///   sequential result — equal up to a renaming of labeled nulls, verified by
-    ///   an exact bijection search — with identical `ChaseOutcome` kind, tripped
-    ///   `BudgetLimit`, `ChaseStats`, and per-`(dep, effect)` observer event
-    ///   multisets;
-    /// * all parallel worker counts are *byte-identical* to each other
-    ///   (instances, stats, full observer streams — the metamorphic determinism
-    ///   contract).
+    /// The round runner of EGD-free (semi-)oblivious sets is checked against
+    /// its step-loop reference in `chase_engine`'s own unit tests
+    /// (`parallel::tests::round_runner_matches_the_step_loop_on_generated_corpora`).
     #[test]
     fn parallel_runner_matches_sequential_runner(seed in 0..200u64, facts in 2..8usize) {
         use chase_ontology::generator::{generate, generate_database, OntologyProfile};
@@ -757,82 +731,29 @@ proptest! {
             ),
         ];
         for (name, session) in sessions {
-            let mut seq_trace = TraceObserver::new();
-            let sequential = session.clone().run_observed(&db, &mut seq_trace);
-            let seq_phases = (name == "standard").then(|| phase_stream(&session, &db, 1));
-            let mut previous: Option<(ChaseOutcome, TraceObserver)> = None;
+            let mut one_trace = TraceObserver::new();
+            let one = session.clone().workers(1).run_observed(&db, &mut one_trace);
+            let one_phases = phase_stream(&session, &db, 1);
             for workers in test_worker_counts() {
                 let mut trace = TraceObserver::new();
-                let parallel = session.clone().workers(workers).run_observed(&db, &mut trace);
-                // Outcome kind, tripped limit and step count match the
-                // sequential runner exactly.
+                let out = session.clone().workers(workers).run_observed(&db, &mut trace);
                 prop_assert_eq!(
-                    std::mem::discriminant(&sequential),
-                    std::mem::discriminant(&parallel),
-                    "{} outcome kind diverged at {} workers (seed {})",
+                    &one,
+                    &out,
+                    "{} outcome diverged at {} workers (seed {})",
                     name, workers, seed
                 );
+                prop_assert_eq!(&one_trace.steps, &trace.steps);
+                prop_assert_eq!(&one_trace.collapses, &trace.collapses);
+                prop_assert_eq!(one_trace.nulls, trace.nulls);
+                prop_assert_eq!(&one_trace.rounds, &trace.rounds);
+                prop_assert_eq!(&one_trace.round_null_counts, &trace.round_null_counts);
                 prop_assert_eq!(
-                    sequential.exhausted_limit(),
-                    parallel.exhausted_limit(),
-                    "{} tripped limit diverged at {} workers (seed {})",
+                    &one_phases,
+                    &phase_stream(&session, &db, workers),
+                    "{} phase events diverged at {} workers (seed {})",
                     name, workers, seed
                 );
-                prop_assert_eq!(
-                    sequential.stats().steps,
-                    parallel.stats().steps,
-                    "{} step count diverged at {} workers (seed {})",
-                    name, workers, seed
-                );
-                if name == "standard" {
-                    // The per-step parallel drain is order-preserving: bitwise
-                    // identity, not mere isomorphism.
-                    prop_assert_eq!(
-                        &sequential,
-                        &parallel,
-                        "standard chase must be bitwise identical at {} workers (seed {})",
-                        workers,
-                        seed
-                    );
-                    prop_assert_eq!(&seq_trace.steps, &trace.steps);
-                    prop_assert_eq!(
-                        seq_phases.as_ref().unwrap(),
-                        &phase_stream(&session, &db, workers),
-                        "standard phase events diverged at {} workers (seed {})",
-                        workers,
-                        seed
-                    );
-                } else {
-                    if sequential.is_terminating() {
-                        prop_assert_eq!(sequential.stats(), parallel.stats());
-                        prop_assert!(
-                            isomorphic_up_to_null_renaming(
-                                sequential.instance().unwrap(),
-                                parallel.instance().unwrap()
-                            ),
-                            "{} results not isomorphic at {} workers (seed {}):\n  seq: {}\n  par: {}",
-                            name, workers, seed,
-                            sequential.instance().unwrap(),
-                            parallel.instance().unwrap()
-                        );
-                        prop_assert_eq!(
-                            event_multiset(&seq_trace),
-                            event_multiset(&trace),
-                            "{} observer event multisets diverged at {} workers (seed {})",
-                            name, workers, seed
-                        );
-                    }
-                }
-                // Metamorphic determinism: every parallel worker count is
-                // byte-identical to every other (instances, stats, full traces).
-                if let Some((prev_out, prev_trace)) = &previous {
-                    prop_assert_eq!(prev_out, &parallel);
-                    prop_assert_eq!(&prev_trace.steps, &trace.steps);
-                    prop_assert_eq!(&prev_trace.rounds, &trace.rounds);
-                    prop_assert_eq!(&prev_trace.round_null_counts, &trace.round_null_counts);
-                    prop_assert_eq!(prev_trace.nulls, trace.nulls);
-                }
-                previous = Some((parallel, trace));
             }
         }
     }
