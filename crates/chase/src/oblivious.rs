@@ -22,13 +22,11 @@ use crate::budget::{BudgetClock, ChaseBudget};
 use crate::observer::{record_step_effect, ChaseObserver};
 use crate::result::{ChaseOutcome, ChaseStats};
 use crate::step::StepEffect;
-use chase_core::substitution::NullSubstitution;
 use chase_core::{
     Assignment, DepId, Dependency, DependencySet, DiscoveryStats, GroundTerm, Instance, ShardStats,
     Variable,
 };
-use chase_trigger::TriggerEngine;
-use std::collections::HashSet;
+use chase_trigger::{NullKeyedSet, TriggerEngine};
 use std::time::Instant;
 
 /// Which oblivious variant to run.
@@ -104,8 +102,10 @@ pub(crate) fn run_oblivious(
 /// The step loop: one trigger at a time on a [`TriggerEngine`], in dependency
 /// order. It runs only EGD-bearing sets, because an EGD substitution rewrites
 /// the pending triggers and every fired key (`h ↦ γ∘h`) and the round runner
-/// does not. For EGD-free sets it is the reference the round runner is checked
-/// against (the differential test in [`crate::parallel`]).
+/// does not. The fired keys live in [`NullKeyedSet`]s, so a substitution
+/// `{η/t}` rewrites only the keys that mention `η`. For EGD-free sets it is
+/// the reference the round runner is checked against (the differential test
+/// in [`crate::parallel`]).
 ///
 /// Trigger discovery is delta-driven: homomorphisms are found once, when the facts
 /// completing them appear, and wait in the engine's queues; the fired-key comparison
@@ -119,8 +119,7 @@ pub(crate) fn run_step_loop(
 ) -> ChaseOutcome {
     let derivations = observer.observes_derivations();
     // Fired trigger keys per dependency, kept up to date under EGD substitutions.
-    let mut fired: Vec<Vec<Vec<GroundTerm>>> = vec![Vec::new(); sigma.len()];
-    let mut fired_lookup: Vec<HashSet<Vec<GroundTerm>>> = vec![HashSet::new(); sigma.len()];
+    let mut fired: Vec<NullKeyedSet> = vec![NullKeyedSet::new(); sigma.len()];
     // Dependencies are tried in the textual order of the set, as before.
     let order: Vec<DepId> = sigma.ids().collect();
 
@@ -149,7 +148,7 @@ pub(crate) fn run_step_loop(
         let found_before = phases.then(|| engine.stats().triggers_discovered);
         let trigger = engine.next_trigger_where(&order, |id, h| {
             let key = fired_key(&key_vars[id.0], h);
-            if fired_lookup[id.0].contains(&key) {
+            if fired[id.0].contains(&key) {
                 false
             } else {
                 accepted_key = Some(key);
@@ -199,8 +198,7 @@ pub(crate) fn run_step_loop(
         if effect == StepEffect::NotApplicable {
             // An EGD trigger with equal images: Definition 1 yields no chase
             // step. Record the key so we do not reconsider it forever.
-            fired[trigger.dep.0].push(key.clone());
-            fired_lookup[trigger.dep.0].insert(key);
+            fired[trigger.dep.0].insert(key);
             continue;
         }
         if let Some(violation) = record_step_effect(sigma, &trigger, &effect, &mut stats, observer)
@@ -209,41 +207,10 @@ pub(crate) fn run_step_loop(
         }
         // Record the trigger key, then propagate the substitution (if any) to all
         // recorded keys so that future comparisons are "modulo γ_j · · · γ_{i-1}".
-        fired[trigger.dep.0].push(key.clone());
-        fired_lookup[trigger.dep.0].insert(key);
+        fired[trigger.dep.0].insert(key);
         if let StepEffect::Substituted { gamma } = &effect {
-            apply_gamma_to_keys(&mut fired, &mut fired_lookup, gamma);
-        }
-    }
-}
-
-/// Rewrites every recorded fired key under an EGD substitution `γ` — the
-/// "modulo `γ_j · · · γ_{i-1}`" of the paper's trigger-equivalence — keeping the
-/// per-dependency key list and its dedup lookup in lockstep.
-///
-/// Public for the same reason as [`key_variables`]: the incremental-maintenance
-/// repair loop carries the fired-key state across update batches and must
-/// rewrite it exactly as the runner would have.
-pub fn apply_gamma_to_keys(
-    fired: &mut [Vec<Vec<GroundTerm>>],
-    fired_lookup: &mut [HashSet<Vec<GroundTerm>>],
-    gamma: &NullSubstitution,
-) {
-    for (keys, lookup) in fired.iter_mut().zip(fired_lookup.iter_mut()) {
-        let mut changed = false;
-        for key in keys.iter_mut() {
-            for t in key.iter_mut() {
-                let new = gamma.apply_ground(*t);
-                if new != *t {
-                    *t = new;
-                    changed = true;
-                }
-            }
-        }
-        if changed {
-            lookup.clear();
-            for key in keys.iter() {
-                lookup.insert(key.clone());
+            for keys in &mut fired {
+                keys.substitute(gamma);
             }
         }
     }

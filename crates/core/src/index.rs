@@ -272,6 +272,11 @@ impl IndexedInstance {
         delta
     }
 
+    /// Ids of the live facts mentioning `null` (empty slice if none), each once.
+    pub fn facts_with_null(&self, null: NullValue) -> &[FactId] {
+        self.by_null.get(&null).map_or(&[], |v| v.as_slice())
+    }
+
     /// Ids of the facts of `predicate` carrying `term` at position `position` (empty
     /// slice if none). O(1) lookup instead of a scan over all facts of the predicate.
     pub fn facts_by_predicate_position(

@@ -18,6 +18,7 @@
 
 use chase_core::substitution::NullSubstitution;
 use chase_core::{DepId, FactId, GroundTerm};
+use chase_trigger::{substitute_terms, NullOccurrences};
 use std::collections::{HashMap, HashSet};
 
 /// What kind of chase step a record witnesses. Retractions treat the kinds
@@ -57,14 +58,17 @@ pub struct SupportRecord {
     pub alive: bool,
 }
 
-/// The record store plus its two id-keyed indexes. Records are append-only
-/// and identified by index; death is a flag, not a removal, so indexes never
-/// need compaction mid-batch.
+/// The record store plus its two id-keyed indexes and a null index over the
+/// record keys. Records are append-only and identified by index; death is a
+/// flag, not a removal, so indexes never need compaction mid-batch.
 #[derive(Clone, Debug, Default)]
 pub struct SupportLedger {
     pub(crate) records: Vec<SupportRecord>,
     by_body: HashMap<FactId, Vec<usize>>,
     by_head: HashMap<FactId, Vec<usize>>,
+    /// The records whose key mentions each null; built at the first
+    /// [`SupportLedger::rewrite`], so EGD-free models never hold it.
+    key_nulls: Option<NullOccurrences<usize>>,
 }
 
 impl SupportLedger {
@@ -97,6 +101,9 @@ impl SupportLedger {
         for &id in &record.heads {
             self.by_head.entry(id).or_default().push(idx);
         }
+        if let Some(index) = &mut self.key_nulls {
+            index.register(&idx, record.key.iter().copied());
+        }
         self.records.push(record);
         idx
     }
@@ -116,10 +123,17 @@ impl SupportLedger {
             .is_some_and(|v| v.iter().any(|&idx| self.records[idx].alive))
     }
 
+    /// Returns `true` once a rewrite has built the key null index.
+    #[cfg(test)]
+    pub(crate) fn holds_key_index(&self) -> bool {
+        self.key_nulls.is_some()
+    }
+
     /// Remaps every indexed id through an EGD substitution's `(old, new)` id
     /// delta and applies `gamma` to every record key, keeping the ledger in
-    /// the engine's current id space. Mirrors
-    /// [`chase_engine::apply_gamma_to_keys`] for the fired-key sets.
+    /// the engine's current id space. Only the records whose key mentions the
+    /// substituted null are visited, as in the fired-key sets
+    /// ([`chase_trigger::NullKeyedSet`]).
     pub fn rewrite(&mut self, gamma: &NullSubstitution, delta: &[(FactId, FactId)]) {
         let map: HashMap<FactId, FactId> = delta.iter().copied().collect();
         let mut affected: HashSet<usize> = HashSet::new();
@@ -146,9 +160,23 @@ impl SupportLedger {
                 }
             }
         }
-        for rec in &mut self.records {
-            for t in rec.key.iter_mut() {
-                *t = gamma.apply_ground(*t);
+        let Some((null, target)) = gamma.mapping() else {
+            return;
+        };
+        let records = &mut self.records;
+        let index = self.key_nulls.get_or_insert_with(|| {
+            let mut index = NullOccurrences::new();
+            for (idx, rec) in records.iter().enumerate() {
+                index.register(&idx, rec.key.iter().copied());
+            }
+            index
+        });
+        for idx in index.take(null) {
+            let key = &mut records[idx].key;
+            let mentions_target = key.contains(&target);
+            substitute_terms(key, gamma);
+            if let (GroundTerm::Null(to), false) = (target, mentions_target) {
+                index.register_null(to, idx);
             }
         }
     }
@@ -206,5 +234,30 @@ mod tests {
         assert!(ledger.consumers_of(FactId(3)).is_empty());
         assert!(ledger.has_alive_support(FactId(6)));
         assert!(!ledger.has_alive_support(FactId(4)));
+    }
+
+    #[test]
+    fn rewrite_follows_null_chains_and_records_pushed_after_indexing() {
+        let record = |key: Vec<GroundTerm>| SupportRecord {
+            dep: DepId(0),
+            key,
+            body: Vec::new(),
+            heads: Vec::new(),
+            kind: RecordKind::Tgd,
+            alive: true,
+        };
+        let a = GroundTerm::Const(chase_core::Constant::new("a"));
+        let mut ledger = SupportLedger::default();
+        ledger.push(record(vec![gt(1), gt(2)]));
+        ledger.push(record(vec![gt(3)]));
+        // η1 ↦ η2 builds the index; the first record now mentions η2 twice.
+        ledger.rewrite(&NullSubstitution::single(NullValue(1), gt(2)), &[]);
+        ledger.push(record(vec![gt(2), gt(3)]));
+        ledger.rewrite(&NullSubstitution::single(NullValue(2), gt(3)), &[]);
+        ledger.rewrite(&NullSubstitution::single(NullValue(3), a), &[]);
+        let keys: Vec<_> = (0..ledger.len())
+            .map(|i| ledger.record(i).key.clone())
+            .collect();
+        assert_eq!(keys, vec![vec![a, a], vec![a], vec![a, a]]);
     }
 }

@@ -351,6 +351,35 @@ mod tests {
     }
 
     #[test]
+    fn only_substituted_state_holds_a_null_index() {
+        // EGD-free: nulls are invented, never substituted, never indexed.
+        let p = parse_program(
+            r#"
+            g: Emp(?x) -> exists ?d: Works(?x, ?d).
+            t: Works(?x, ?d) -> InDept(?d).
+            Emp(e). Emp(f).
+            "#,
+        )
+        .unwrap();
+        let mut live = materialize(&p);
+        live.insert([fact("Emp", &["g"])]).unwrap();
+        live.retract([fact("Emp", &["e"])]).unwrap();
+        assert_eq!(live.null_indexes(), [false; 3]);
+        // An EGD step indexes the engine, the fired keys and the ledger keys.
+        let p = parse_program(
+            r#"
+            g: Emp(?x) -> exists ?d: Works(?x, ?d).
+            k: Works(?x, ?d1), Works(?x, ?d2) -> ?d1 = ?d2.
+            Emp(e). Works(e, hq).
+            "#,
+        )
+        .unwrap();
+        let live = materialize(&p);
+        assert_eq!(live.null_indexes(), [true; 3]);
+        assert_matches_rechase(&live);
+    }
+
+    #[test]
     fn egd_noop_records_repair_locally() {
         // The EGD only ever fires on equal images (d = d): retraction must
         // not trip the replay fallback.

@@ -45,7 +45,7 @@ use chase_engine::{
 };
 use chase_obs::MetricsRegistry;
 use chase_trigger::search::for_each_indexed_extending;
-use chase_trigger::{StepEffect, TriggerEngine};
+use chase_trigger::{NullKeyedSet, StepEffect, TriggerEngine};
 use std::collections::{HashSet, VecDeque};
 use std::ops::ControlFlow;
 use std::time::Instant;
@@ -68,10 +68,9 @@ pub struct ChaseMaterialization<'a> {
     engine: TriggerEngine<'a>,
     key_vars: Vec<Vec<Variable>>,
     order: Vec<DepId>,
-    /// Per-dependency fired-key sets. Unlike the engine's runner, no ordered
-    /// key list is kept: retraction un-fires keys one at a time, and a linear
-    /// scan per un-fired key is quadratic over large models.
-    fired_lookup: Vec<HashSet<Vec<GroundTerm>>>,
+    /// Per-dependency fired-key sets. Retraction un-fires keys one at a time;
+    /// an EGD substitution rewrites only the keys that mention its null.
+    fired_lookup: Vec<NullKeyedSet>,
     ledger: SupportLedger,
     base: HashSet<FactId>,
     metrics: MetricsRegistry,
@@ -109,7 +108,7 @@ impl<'a> ChaseMaterialization<'a> {
             engine: TriggerEngine::with_database(sigma, &database),
             key_vars,
             order,
-            fired_lookup: vec![HashSet::new(); sigma.len()],
+            fired_lookup: vec![NullKeyedSet::new(); sigma.len()],
             ledger: SupportLedger::default(),
             base: HashSet::new(),
             metrics: MetricsRegistry::new(),
@@ -215,6 +214,17 @@ impl<'a> ChaseMaterialization<'a> {
     pub fn base_instance(&self) -> Instance {
         let store = self.engine.instance().store();
         Instance::from_facts(self.base.iter().map(|&id| store.fact(id)))
+    }
+
+    /// Whether the engine, the fired-key sets and the ledger hold a null
+    /// index (built only by an EGD substitution).
+    #[cfg(test)]
+    pub(crate) fn null_indexes(&self) -> [bool; 3] {
+        [
+            self.engine.holds_null_index(),
+            self.fired_lookup.iter().any(NullKeyedSet::is_indexed),
+            self.ledger.holds_key_index(),
+        ]
     }
 
     /// The support ledger (diagnostics).
@@ -407,19 +417,10 @@ impl<'a> ChaseMaterialization<'a> {
     /// Propagates an EGD substitution to every id- or term-keyed structure:
     /// fired keys, the base set, and the ledger.
     fn apply_rewrites(&mut self, gamma: &NullSubstitution, delta: &[(FactId, FactId)]) {
-        // Rewrite the fired-key sets in place (the set-only analogue of
-        // `chase_engine::apply_gamma_to_keys`); keys colliding post-gamma
-        // merge, exactly as the runner's lookup rebuild merges them.
+        // Rewrite the fired-key sets as the runner does; keys colliding
+        // post-gamma merge.
         for lookup in self.fired_lookup.iter_mut() {
-            let changed = lookup
-                .iter()
-                .any(|key| key.iter().any(|&t| gamma.apply_ground(t) != t));
-            if changed {
-                *lookup = std::mem::take(lookup)
-                    .into_iter()
-                    .map(|key| key.into_iter().map(|t| gamma.apply_ground(t)).collect())
-                    .collect();
-            }
+            lookup.substitute(gamma);
         }
         for &(old, new) in delta {
             if self.base.remove(&old) {

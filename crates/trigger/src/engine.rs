@@ -14,6 +14,12 @@
 //!   re-scanning;
 //! * EGD substitutions rewrite the pending queues and the dedup set in place
 //!   (`h ↦ γ∘h`), invalidating stale bindings without discarding discovered work.
+//!   A substitution `{η/t}` visits only the pending triggers and dedup keys
+//!   that mention `η`, so an EGD step costs O(occurrences of η), not O(every
+//!   trigger ever discovered). Pending triggers are found by queue position
+//!   through a null-occurrence index ([`crate::null_keyed`]), built at the
+//!   first substitution, so only an EGD-bearing `Σ` ever holds one; dedup keys
+//!   are found by seeded joins from the facts that mention `η`.
 //!
 //! Dropping a trigger that is found inactive is sound for the standard chase:
 //! instances only grow or get substituted, both of which preserve TGD head
@@ -22,12 +28,13 @@
 
 use crate::delta::DeltaQueue;
 use crate::index::FactIndex;
+use crate::null_keyed::NullOccurrences;
 use crate::parallel::{body_image, discover_batch, SeedAtoms};
 use crate::search::{exists_indexed_extension, for_each_seeded_id};
 use chase_core::substitution::NullSubstitution;
 use chase_core::{
-    Assignment, DepId, Dependency, DependencySet, Fact, FactId, GroundTerm, Instance, Snapshot,
-    Variable,
+    Assignment, DepId, Dependency, DependencySet, Fact, FactId, GroundTerm, Instance, NullValue,
+    Snapshot, Variable,
 };
 use std::collections::{HashSet, VecDeque};
 use std::ops::ControlFlow;
@@ -80,6 +87,10 @@ pub struct EngineStats {
     pub triggers_dropped: usize,
     /// EGD substitutions applied to the engine state.
     pub substitutions: usize,
+    /// Pending triggers and dedup keys that substitutions visited to rewrite
+    /// them: the null-index entries followed, plus one visit per entry in the
+    /// pass that builds the indexes at the first substitution.
+    pub substitution_rewrites: usize,
 }
 
 /// Fact-id level record of one applied chase step, produced by
@@ -114,12 +125,188 @@ pub struct TriggerEngine<'a> {
     /// that predicate: `(dependency, body atom index)`. Built once so that a delta
     /// fact visits only the matching seed atoms instead of scanning all of `Σ`.
     seed_atoms: SeedAtoms,
+    /// Every trigger discovered so far: the pending queues and the dedup sets.
+    queues: TriggerQueues,
+    stats: EngineStats,
+}
+
+/// Slots the pending-trigger null index may always hold before it is
+/// compacted. Small under test, so the lockstep oracle exercises rebuilds.
+const COMPACTION_FLOOR: usize = if cfg!(test) { 8 } else { 1024 };
+
+/// The discovered-trigger state of a [`TriggerEngine`], with the
+/// null-occurrence indexes that let an EGD substitution rewrite it in
+/// O(occurrences of the substituted null).
+#[derive(Clone)]
+struct TriggerQueues {
     /// Per-dependency FIFO of discovered candidate triggers.
     pending: Vec<VecDeque<Assignment>>,
+    /// Number of pending triggers across all dependencies.
+    queued: usize,
+    /// Per dependency, how many triggers were ever popped off the front of
+    /// `pending`. A trigger enqueued as the `seq`-th of its dependency sits
+    /// at `pending[dep][seq - popped[dep]]` until it is popped.
+    popped: Vec<u64>,
+    /// The `(dependency, seq)` positions of the pending triggers that mention
+    /// each null. Built at the first substitution; dropped, to be rebuilt at
+    /// the next one, when a retraction reorders `pending` or when it grows
+    /// past `compact_at` (slots of popped triggers linger in it).
+    pending_nulls: Option<NullOccurrences<(usize, u64)>>,
+    /// `pending_nulls` is dropped once it holds more slots than this: twice
+    /// its slots and the pending triggers at its last build, so rebuilds cost
+    /// amortized O(1) per enqueued trigger.
+    compact_at: usize,
     /// Per-dependency set of every assignment ever discovered (canonical form),
     /// rewritten in lockstep with EGD substitutions.
     seen: Vec<HashSet<Vec<(Variable, GroundTerm)>>>,
-    stats: EngineStats,
+    /// Rewrite every pending trigger and rebuild every dedup set on each
+    /// substitution: the reference the indexed rewrite is checked against.
+    #[cfg(test)]
+    full_rewrite: bool,
+}
+
+impl TriggerQueues {
+    fn new(deps: usize) -> Self {
+        TriggerQueues {
+            pending: vec![VecDeque::new(); deps],
+            queued: 0,
+            popped: vec![0; deps],
+            pending_nulls: None,
+            compact_at: 0,
+            seen: vec![HashSet::new(); deps],
+            #[cfg(test)]
+            full_rewrite: false,
+        }
+    }
+
+    /// Queues a discovered assignment unless it was discovered before;
+    /// returns `true` iff it was queued.
+    fn enqueue(&mut self, dep: DepId, h: Assignment) -> bool {
+        if !self.seen[dep.0].insert(h.canonical()) {
+            return false;
+        }
+        if let Some(index) = &mut self.pending_nulls {
+            let seq = self.popped[dep.0] + self.pending[dep.0].len() as u64;
+            index.register(&(dep.0, seq), h.iter().map(|(_, t)| t));
+            // Slots of popped triggers linger until their null is substituted;
+            // past `compact_at`, a rebuild is cheaper than keeping them.
+            if index.entries() > self.compact_at {
+                self.pending_nulls = None;
+            }
+        }
+        self.pending[dep.0].push_back(h);
+        self.queued += 1;
+        true
+    }
+
+    /// Pops the oldest pending trigger of `dep`.
+    fn pop(&mut self, dep: DepId) -> Option<Assignment> {
+        let h = self.pending[dep.0].pop_front()?;
+        self.popped[dep.0] += 1;
+        self.queued -= 1;
+        Some(h)
+    }
+
+    /// Forgets a discovered assignment: its dedup key and any pending copy.
+    fn forget(&mut self, dep: DepId, h: &Assignment) {
+        if self.seen[dep.0].remove(&h.canonical()) {
+            let queue = &mut self.pending[dep.0];
+            let before = queue.len();
+            queue.retain(|p| p != h);
+            self.queued -= before - queue.len();
+            // Positions have shifted: the next substitution rebuilds the index.
+            self.pending_nulls = None;
+        }
+    }
+
+    /// Rewrites the pending triggers and the dedup keys under `γ = {η/t}`,
+    /// returning the number of entries visited. `keys` must hold every dedup
+    /// key that mentions `η` (it may hold others, and repeats).
+    fn substitute(
+        &mut self,
+        gamma: &NullSubstitution,
+        keys: Vec<(DepId, Vec<(Variable, GroundTerm)>)>,
+    ) -> usize {
+        #[cfg(test)]
+        if self.full_rewrite {
+            return self.substitute_everything(gamma);
+        }
+        let visited = keys.len();
+        for (dep, mut key) in keys {
+            // Each key is rewritten once: a repeat is gone from the set. Keys
+            // that collide after `γ` merge, as in a rebuilt set.
+            if self.seen[dep.0].remove(&key) {
+                substitute_key(&mut key, gamma);
+                self.seen[dep.0].insert(key);
+            }
+        }
+        visited + self.substitute_pending(gamma)
+    }
+
+    /// Rewrites the pending triggers that mention the substituted null, in
+    /// place, so every queue keeps its order.
+    fn substitute_pending(&mut self, gamma: &NullSubstitution) -> usize {
+        let Some((null, target)) = gamma.mapping() else {
+            return 0;
+        };
+        let TriggerQueues {
+            pending,
+            queued,
+            popped,
+            pending_nulls,
+            compact_at,
+            ..
+        } = self;
+        let mut visited = 0;
+        let index = pending_nulls.get_or_insert_with(|| {
+            let mut index = NullOccurrences::new();
+            for (dep, queue) in pending.iter().enumerate() {
+                for (i, h) in queue.iter().enumerate() {
+                    index.register(&(dep, popped[dep] + i as u64), h.iter().map(|(_, t)| t));
+                }
+            }
+            visited = *queued;
+            *compact_at = 2 * (index.entries() + *queued) + COMPACTION_FLOOR;
+            index
+        });
+        for (dep, seq) in index.take(null) {
+            visited += 1;
+            // Popped triggers have left the queue.
+            let Some(pos) = seq.checked_sub(popped[dep]) else {
+                continue;
+            };
+            let h = &mut pending[dep][pos as usize];
+            let mentions_target = h.iter().any(|(_, t)| t == target);
+            *h = rewrite_assignment(h, gamma);
+            if let (GroundTerm::Null(to), false) = (target, mentions_target) {
+                index.register_null(to, (dep, seq));
+            }
+        }
+        visited
+    }
+
+    /// The full rewrite: every pending trigger, every dedup set rebuilt.
+    #[cfg(test)]
+    fn substitute_everything(&mut self, gamma: &NullSubstitution) -> usize {
+        let mut visited = 0;
+        for queue in &mut self.pending {
+            for h in queue.iter_mut() {
+                *h = rewrite_assignment(h, gamma);
+                visited += 1;
+            }
+        }
+        for set in &mut self.seen {
+            visited += set.len();
+            *set = set
+                .drain()
+                .map(|mut key| {
+                    substitute_key(&mut key, gamma);
+                    key
+                })
+                .collect();
+        }
+        visited
+    }
 }
 
 impl<'a> TriggerEngine<'a> {
@@ -130,8 +317,7 @@ impl<'a> TriggerEngine<'a> {
             index: FactIndex::new(),
             deltas: DeltaQueue::new(),
             seed_atoms: SeedAtoms::new(sigma),
-            pending: vec![VecDeque::new(); sigma.len()],
-            seen: vec![HashSet::new(); sigma.len()],
+            queues: TriggerQueues::new(sigma.len()),
             stats: EngineStats::default(),
         }
     }
@@ -193,7 +379,7 @@ impl<'a> TriggerEngine<'a> {
     /// dependencies (diagnostics; a quiesced engine has zero pending and an
     /// empty delta worklist).
     pub fn pending_len(&self) -> usize {
-        self.pending.iter().map(|q| q.len()).sum()
+        self.queues.queued
     }
 
     /// Returns `true` iff no delta is waiting and no candidate is pending — the
@@ -215,43 +401,70 @@ impl<'a> TriggerEngine<'a> {
         new
     }
 
-    /// Applies an EGD substitution `γ`: rewrites the instance in place, rewrites
-    /// every pending trigger and dedup key (`h ↦ γ∘h`), and re-seeds discovery
-    /// from the rewritten facts (substitution can *create* triggers, e.g. a body
-    /// atom `E(x, x)` matching a fact only after two nulls collapse). Returns
-    /// the rewritten `(old, new)` id pairs — the same delta the index reported
-    /// — so id-tracking callers (the `chase_ivm` support ledger) can map their
+    /// Returns `true` iff the engine holds a null-occurrence index, which it
+    /// builds at the first substitution (diagnostics: an engine over an
+    /// EGD-free `Σ` never holds one).
+    pub fn holds_null_index(&self) -> bool {
+        self.queues.pending_nulls.is_some()
+    }
+
+    /// Applies an EGD substitution `γ = {η/t}`: rewrites the instance in place,
+    /// rewrites the pending triggers and dedup keys that mention `η`
+    /// (`h ↦ γ∘h`), and re-seeds discovery from the rewritten facts
+    /// (substitution can *create* triggers, e.g. a body atom `E(x, x)` matching
+    /// a fact only after two nulls collapse). Returns the rewritten
+    /// `(old, new)` id pairs — the same delta the index reported — so
+    /// id-tracking callers (the `chase_ivm` support ledger) can map their
     /// records forward.
+    ///
+    /// The rewrite costs O(occurrences of η) rather than O(every trigger ever
+    /// discovered): pending triggers are reached through a null-occurrence
+    /// index of their queue positions, which the first substitution builds
+    /// with one pass over the queues (an engine over an EGD-free `Σ` is never
+    /// substituted and never builds it), and dedup keys through seeded joins
+    /// from the facts that mention `η`. Pending order, the dedup sets (keys
+    /// that collide after `γ` merge) and every other [`EngineStats`] counter
+    /// are exactly those of a full rewrite.
     pub fn apply_substitution(&mut self, gamma: &NullSubstitution) -> Vec<(FactId, FactId)> {
         if gamma.is_empty() {
             return Vec::new();
         }
         self.stats.substitutions += 1;
+        let keys = gamma
+            .mapping()
+            .map_or_else(Vec::new, |(null, _)| self.discovered_with_null(null));
         let delta = self.index.substitute(gamma);
         // Facts still waiting in the worklist must be rewritten too: they were
         // enqueued as members of `K` and only their images exist in `K γ`. The id
         // delta maps each rewritten fact's old id onto its image's id.
         self.deltas.apply_rewrites(&delta);
-        for queue in &mut self.pending {
-            for h in queue.iter_mut() {
-                *h = rewrite_assignment(h, gamma);
-            }
-        }
-        for set in &mut self.seen {
-            *set = set
-                .drain()
-                .map(|mut key| {
-                    for (_, t) in key.iter_mut() {
-                        *t = gamma.apply_ground(*t);
-                    }
-                    key
-                })
-                .collect();
-        }
+        self.stats.substitution_rewrites += self.queues.substitute(gamma, keys);
         for &(_, new) in &delta {
             self.deltas.push(new);
         }
         delta
+    }
+
+    /// The canonical keys of the body homomorphisms that map an atom onto a
+    /// fact mentioning `null`, by dependency. Every discovered trigger that
+    /// mentions `null` is one of them — its keys are homomorphisms into the
+    /// current instance, kept so through substitutions and retractions — so
+    /// the seeded joins from those facts find every dedup key an EGD step on
+    /// `null` rewrites, in O(occurrences of `null`) and without indexing the
+    /// keys. Must run before the facts are rewritten.
+    fn discovered_with_null(&self, null: NullValue) -> Vec<(DepId, Vec<(Variable, GroundTerm)>)> {
+        let mut keys = Vec::new();
+        for &fact_id in self.index.indexed().facts_with_null(null) {
+            let predicate = self.index.store().predicate_of(fact_id);
+            for &(dep, seed_index) in self.seed_atoms.seeds_for(predicate) {
+                let body = self.sigma.get(dep).body();
+                for_each_seeded_id::<()>(body, &self.index, seed_index, fact_id, &mut |h| {
+                    keys.push((dep, h.canonical()));
+                    ControlFlow::Continue(())
+                });
+            }
+        }
+        keys
     }
 
     /// Drains the delta worklist, seeding homomorphism search from every (body
@@ -271,9 +484,8 @@ impl<'a> TriggerEngine<'a> {
                     ControlFlow::Continue(())
                 });
                 for h in found {
-                    if self.seen[id.0].insert(h.canonical()) {
+                    if self.queues.enqueue(id, h) {
                         self.stats.triggers_discovered += 1;
-                        self.pending[id.0].push_back(h);
                     }
                 }
             }
@@ -301,9 +513,8 @@ impl<'a> TriggerEngine<'a> {
             discover_batch(self.sigma, &self.seed_atoms, snapshot, &batch, workers)
         };
         for t in found {
-            if self.seen[t.dep.0].insert(t.assignment.canonical()) {
+            if self.queues.enqueue(t.dep, t.assignment) {
                 self.stats.triggers_discovered += 1;
-                self.pending[t.dep.0].push_back(t.assignment);
             }
         }
     }
@@ -332,7 +543,7 @@ impl<'a> TriggerEngine<'a> {
     fn pop_active(&mut self, order: &[DepId]) -> Option<Trigger> {
         for &id in order {
             let dep = self.sigma.get(id);
-            while let Some(h) = self.pending[id.0].pop_front() {
+            while let Some(h) = self.queues.pop(id) {
                 if self.is_standard_active(dep, &h) {
                     return Some(Trigger {
                         dep: id,
@@ -356,7 +567,7 @@ impl<'a> TriggerEngine<'a> {
     ) -> Option<Trigger> {
         self.drain_deltas();
         for &id in order {
-            while let Some(h) = self.pending[id.0].pop_front() {
+            while let Some(h) = self.queues.pop(id) {
                 if accept(id, &h) {
                     return Some(Trigger {
                         dep: id,
@@ -472,9 +683,7 @@ impl<'a> TriggerEngine<'a> {
                     ControlFlow::Continue(())
                 });
                 for h in found {
-                    if self.seen[dep.0].remove(&h.canonical()) {
-                        self.pending[dep.0].retain(|p| p != &h);
-                    }
+                    self.queues.forget(dep, &h);
                 }
             }
         }
@@ -483,6 +692,12 @@ impl<'a> TriggerEngine<'a> {
         let removed = self.index.remove_ids(ids);
         self.stats.facts_retracted += removed;
         removed
+    }
+}
+
+fn substitute_key(key: &mut [(Variable, GroundTerm)], gamma: &NullSubstitution) {
+    for (_, t) in key.iter_mut() {
+        *t = gamma.apply_ground(*t);
     }
 }
 
@@ -918,5 +1133,285 @@ mod tests {
         }
         // Closure of a 4-chain has 6 edges.
         assert_eq!(engine.instance().len(), 6);
+    }
+
+    /// The dependency orders of the standard chase's `StepOrder` policies
+    /// (`chase_engine::standard::dependency_order`): textual, EGDs first,
+    /// full dependencies first, and a seeded shuffle.
+    fn step_orders(sigma: &DependencySet, seed: u64) -> Vec<(&'static str, Vec<DepId>)> {
+        use rand::rngs::StdRng;
+        use rand::seq::SliceRandom;
+        use rand::SeedableRng;
+        let textual: Vec<DepId> = sigma.ids().collect();
+        let mut egds_first = textual.clone();
+        egds_first.sort_by_key(|&id| {
+            let dep = sigma.get(id);
+            if dep.is_egd() {
+                0
+            } else if dep.is_full() {
+                1
+            } else {
+                2
+            }
+        });
+        let mut full_first = textual.clone();
+        full_first.sort_by_key(|&id| if sigma.get(id).is_full() { 0 } else { 1 });
+        let mut shuffled = textual.clone();
+        shuffled.shuffle(&mut StdRng::seed_from_u64(seed));
+        vec![
+            ("textual", textual),
+            ("egds-first", egds_first),
+            ("full-first", full_first),
+            ("shuffled", shuffled),
+        ]
+    }
+
+    /// Asserts that two engines hold the same discovered-trigger state, the
+    /// same instance and the same counters. `substitution_rewrites` counts
+    /// visits, which is exactly where the two rewrites differ.
+    fn assert_same_state(indexed: &TriggerEngine, reference: &TriggerEngine, at: &str) {
+        assert_eq!(
+            indexed.queues.pending, reference.queues.pending,
+            "pending, {at}"
+        );
+        assert_eq!(
+            indexed.queues.popped, reference.queues.popped,
+            "popped, {at}"
+        );
+        assert_eq!(indexed.queues.seen, reference.queues.seen, "seen, {at}");
+        let visits_apart = |engine: &TriggerEngine| EngineStats {
+            substitution_rewrites: 0,
+            ..engine.stats().clone()
+        };
+        assert_eq!(
+            visits_apart(indexed),
+            visits_apart(reference),
+            "stats, {at}"
+        );
+        assert_eq!(indexed.instance(), reference.instance(), "instance, {at}");
+    }
+
+    /// Runs the standard chase under `order` on an indexed engine and on the
+    /// full-rewrite reference in lockstep, comparing them after every step.
+    /// Returns the number of substitutions applied.
+    fn run_in_lockstep(
+        sigma: &DependencySet,
+        db: &Instance,
+        order: &[DepId],
+        max_steps: usize,
+        label: &str,
+    ) -> usize {
+        let mut indexed = TriggerEngine::with_database(sigma, db);
+        let mut reference = TriggerEngine::with_database(sigma, db);
+        reference.queues.full_rewrite = true;
+        for step in 0..max_steps {
+            let at = format!("{label}, step {step}");
+            let popped = indexed.next_active_trigger(order);
+            assert_eq!(popped, reference.next_active_trigger(order), "popped, {at}");
+            assert_same_state(&indexed, &reference, &at);
+            let Some(t) = popped else { break };
+            let effect = indexed.apply_trigger(t.dep, &t.assignment);
+            assert_eq!(
+                effect,
+                reference.apply_trigger(t.dep, &t.assignment),
+                "{at}"
+            );
+            assert_same_state(&indexed, &reference, &at);
+            if effect == StepEffect::Failure {
+                break;
+            }
+        }
+        assert!(!reference.holds_null_index(), "the reference never indexes");
+        indexed.stats().substitutions
+    }
+
+    fn gn(n: u64) -> GroundTerm {
+        GroundTerm::Null(NullValue(n))
+    }
+
+    /// `db` with every other constant (in name order) replaced by a null, so
+    /// that EGDs merge nulls instead of failing on two constants.
+    fn with_nulls(db: &Instance) -> Instance {
+        let mut constants: Vec<String> = db
+            .facts()
+            .flat_map(|f| f.terms.into_iter().map(|t| t.to_string()))
+            .collect();
+        constants.sort();
+        constants.dedup();
+        let null_of = |t: GroundTerm| match constants.binary_search(&t.to_string()) {
+            Ok(rank) if rank % 2 == 0 => gn(1000 + rank as u64),
+            _ => t,
+        };
+        Instance::from_facts(db.facts().map(|f| Fact {
+            predicate: f.predicate,
+            terms: f.terms.into_iter().map(null_of).collect(),
+        }))
+    }
+
+    #[test]
+    fn indexed_substitution_is_byte_identical_to_the_full_rewrite() {
+        use chase_ontology::{generate, generate_database, generate_family, OntologyProfile};
+        let mut programs: Vec<(String, DependencySet, Instance)> = Vec::new();
+        for seed in 0..24u64 {
+            let sigma = generate(&OntologyProfile {
+                existential: (seed % 4) as usize + 1,
+                full: (seed % 5) as usize + 2,
+                egds: (seed % 3) as usize + 1,
+                cyclic: seed % 2 == 0,
+                seed,
+            });
+            let db = with_nulls(&generate_database(&sigma, 40, seed ^ 0x5eed));
+            programs.push((format!("profile seed {seed}"), sigma, db));
+        }
+        // Σ1 copies: constants that collapse their invented nulls, and
+        // edges between database nulls that collapse into each other.
+        let copies = generate_family("egd-collapse-cycles", 9, 0).expect("known family");
+        let mut facts = Vec::new();
+        for j in 0..12u64 {
+            let copy = j % 3;
+            facts.push(Fact::from_parts(
+                &format!("N{copy}"),
+                vec![gc(&format!("k{j}"))],
+            ));
+            facts.push(Fact::from_parts(
+                &format!("E{copy}"),
+                vec![gn(100 + j), gn(100 + (j + 1) % 12)],
+            ));
+        }
+        programs.push((
+            "egd-collapse-cycles".into(),
+            copies,
+            Instance::from_facts(facts),
+        ));
+        // Functional and key EGDs over roles filled mostly with nulls: nulls
+        // merge into nulls, and a few into constants.
+        let heavy = generate_family("egd-heavy", 8, 0).expect("known family");
+        let mut facts = Vec::new();
+        for role in 0..2u64 {
+            for j in 0..8u64 {
+                let (s, o) = (j % 4, j % 3);
+                let subject = if s == 0 {
+                    gc("s")
+                } else {
+                    gn(200 + 10 * role + s)
+                };
+                let object = if o == 0 {
+                    gc("o")
+                } else {
+                    gn(300 + 10 * role + o)
+                };
+                facts.push(Fact::from_parts(&format!("R{role}"), vec![subject, object]));
+            }
+        }
+        for j in 0..6 {
+            facts.push(Fact::from_parts("Src0", vec![gc(&format!("k{j}"))]));
+        }
+        programs.push(("egd-heavy".into(), heavy, Instance::from_facts(facts)));
+
+        let mut substitutions = 0;
+        for (seed, (name, sigma, db)) in programs.iter().enumerate() {
+            for (order_name, order) in step_orders(sigma, seed as u64) {
+                let label = format!("{name}, {order_name}");
+                substitutions += run_in_lockstep(sigma, db, &order, 400, &label);
+            }
+        }
+        assert!(
+            substitutions > 200,
+            "the corpus must substitute ({substitutions})"
+        );
+    }
+
+    /// Runs Σ1 copies EGDs-first over `facts` unary `N_i` facts and returns
+    /// the engine's substitution visits.
+    fn sigma1_substitution_visits(facts: usize, full_rewrite: bool) -> usize {
+        let sigma =
+            chase_ontology::generate_family("egd-collapse-cycles", 12, 0).expect("known family");
+        let db = Instance::from_facts(
+            (0..facts)
+                .map(|j| Fact::from_parts(&format!("N{}", j % 4), vec![gc(&format!("k{j}"))])),
+        );
+        let (_, order) = step_orders(&sigma, 0).swap_remove(1);
+        let mut engine = TriggerEngine::with_database(&sigma, &db);
+        engine.queues.full_rewrite = full_rewrite;
+        while let Some(t) = engine.next_active_trigger(&order) {
+            engine.apply_trigger(t.dep, &t.assignment);
+        }
+        assert_eq!(engine.stats().substitutions, facts, "one collapse per fact");
+        assert_eq!(engine.instance().len(), 2 * facts, "N_i(k) and E_i(k, k)");
+        engine.stats().substitution_rewrites
+    }
+
+    #[test]
+    fn substitution_work_grows_linearly_with_the_facts() {
+        let (n, twice) = (
+            sigma1_substitution_visits(300, false),
+            sigma1_substitution_visits(600, false),
+        );
+        assert!(
+            twice <= 2 * n + 16,
+            "indexed: {n} visits at 300 facts, {twice} at 600"
+        );
+        // The full rewrite visits every trigger ever discovered on each step,
+        // so its count about quadruples: the counter tells the two apart.
+        let (n, twice) = (
+            sigma1_substitution_visits(300, true),
+            sigma1_substitution_visits(600, true),
+        );
+        assert!(
+            twice >= 3 * n,
+            "full rewrite: {n} visits at 300 facts, {twice} at 600"
+        );
+    }
+
+    #[test]
+    fn only_a_substituting_engine_holds_a_null_index() {
+        let p = parse_program(
+            r#"
+            t: E(?x, ?y), E(?y, ?z) -> E(?x, ?z).
+            r: E(?x, ?y) -> exists ?w: F(?y, ?w).
+            E(a, b). E(b, c). E(c, d).
+            "#,
+        )
+        .unwrap();
+        let order: Vec<DepId> = p.dependencies.ids().collect();
+        let mut engine = TriggerEngine::with_database(&p.dependencies, &p.database);
+        while let Some(t) = engine.next_active_trigger(&order) {
+            engine.apply_trigger(t.dep, &t.assignment);
+        }
+        assert!(!engine.instance().nulls().is_empty());
+        assert!(!engine.holds_null_index(), "an EGD-free run must not index");
+
+        let (sigma, db) = sigma1();
+        let order = vec![DepId(2), DepId(0), DepId(1)];
+        let mut engine = TriggerEngine::with_database(&sigma, &db);
+        while let Some(t) = engine.next_active_trigger(&order) {
+            engine.apply_trigger(t.dep, &t.assignment);
+        }
+        assert_eq!(engine.stats().substitutions, 1);
+        assert!(engine.holds_null_index());
+    }
+
+    #[test]
+    fn a_retraction_drops_the_pending_index_and_the_next_substitution_rebuilds_it() {
+        // Two pending triggers mention η1; retracting the first shifts the
+        // second's position, which the rebuilt index must find.
+        let p = parse_program("r: E(?x, ?y) -> N(?y).").unwrap();
+        let mut engine = TriggerEngine::new(&p.dependencies);
+        let (first, _) = engine.push_fact_full(Fact::from_parts("E", vec![gc("a"), gn(1)]));
+        engine.push_facts([
+            Fact::from_parts("E", vec![gc("b"), gn(1)]),
+            Fact::from_parts("E", vec![gc("c"), gn(2)]),
+        ]);
+        engine.drain_deltas();
+        engine.apply_substitution(&NullSubstitution::single(NullValue(2), gc("z")));
+        assert!(engine.queues.pending_nulls.is_some());
+        engine.retract_ids(&[first]);
+        assert!(engine.queues.pending_nulls.is_none());
+        engine.apply_substitution(&NullSubstitution::single(NullValue(1), gc("y")));
+        let ys: Vec<_> = engine.queues.pending[0]
+            .iter()
+            .map(|h| h.get(Variable::new("y")))
+            .collect();
+        assert_eq!(ys, vec![Some(gc("y")), Some(gc("z"))]);
     }
 }

@@ -33,7 +33,12 @@
 //! EGD substitutions are first-class: pending triggers and the dedup set are
 //! rewritten `h ↦ γ∘h` in lockstep with the instance, and the rewritten facts
 //! re-enter the worklist because a substitution can *create* matches (e.g. a
-//! body atom `E(x, x)` matching only after two nulls collapse).
+//! body atom `E(x, x)` matching only after two nulls collapse). The rewrite of
+//! `{η/t}` visits only the entries that mention `η`: pending triggers through
+//! a null-occurrence index of their queue positions ([`null_keyed`]), dedup
+//! keys through seeded joins from the facts that mention `η`. The fired-key
+//! sets of the engine's consumers are [`NullKeyedSet`]s. Indexes are built at
+//! the first substitution, so only EGD-bearing runs hold them.
 //!
 //! Discovery also runs **in parallel**: [`parallel::discover_batch`] shards a
 //! delta batch across scoped worker threads over a read-only
@@ -47,12 +52,14 @@
 pub mod delta;
 pub mod engine;
 pub mod index;
+pub mod null_keyed;
 pub mod parallel;
 pub mod search;
 
 pub use delta::DeltaQueue;
 pub use engine::{EngineStats, StepEffect, StepLog, Trigger, TriggerEngine};
 pub use index::{FactIndex, TgdStep};
+pub use null_keyed::{substitute_terms, NullKeyedSet, NullOccurrences};
 pub use parallel::{body_image, discover_batch, discover_batch_instrumented, SeedAtoms};
 
 /// Convenience re-exports.
